@@ -111,11 +111,12 @@ class SpscRing {
 };
 
 /// Readiness signal a channel fires after every successful push (and on
-/// close). Two implementations exist: Doorbell wakes a dedicated consumer
-/// thread parked on a condvar (thread-per-task mode), and the executor's
-/// task notifier marks the consuming task runnable on the work-stealing
-/// pool (scheduler mode). Wake() must be cheap, non-blocking, and safe
-/// from any thread.
+/// close), and -- once armed, see SpscChannel::ArmProducerWake -- after a
+/// pop frees a slot for a parked producer. Two implementations exist:
+/// Doorbell wakes a dedicated consumer thread parked on a condvar
+/// (thread-per-task mode), and the executor's task notifier marks a task
+/// runnable on the work-stealing pool (scheduler mode). Wake() must be
+/// cheap, non-blocking, and safe from any thread.
 class Waker {
  public:
   virtual ~Waker() = default;
@@ -167,10 +168,11 @@ class Doorbell : public Waker {
 
 /// Blocking single-producer/single-consumer channel: an SpscRing plus the
 /// engine's channel protocol -- backpressure (Push blocks when the ring is
-/// full, after a short spin), close-and-drain semantics matching
-/// BoundedQueue (after Close, Push is rejected and Pop drains the
-/// remaining elements before reporting end-of-channel), and an optional
-/// shared Doorbell so one consumer can park across many channels.
+/// full, after a short spin; a producer that must not block arms a
+/// one-shot wakeup instead, see ArmProducerWake), close-and-drain
+/// semantics matching BoundedQueue (after Close, Push is rejected and Pop
+/// drains the remaining elements before reporting end-of-channel), and an
+/// optional shared Doorbell so one consumer can park across many channels.
 template <typename T>
 class SpscChannel {
  public:
@@ -213,11 +215,25 @@ class SpscChannel {
   }
 
   /// Consumer: non-blocking pop; false when currently empty (not
-  /// necessarily closed). Wakes a producer blocked on backpressure.
+  /// necessarily closed). Wakes a producer blocked on backpressure, or
+  /// parked on it (ArmProducerWake).
   bool TryPop(T* out) {
     if (!ring_.TryPop(out)) return false;
+    // Pairs with the fence in ArmProducerWake: either this load sees the
+    // armed waker, or the producer's retry sees the slot just freed.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    WakeParkedProducer();
     NotifyNotFull();
     return true;
+  }
+
+  /// Producer (scheduler mode): parks until the next pop or close. After
+  /// this call the next TryPop or Close calls `waker->Wake()` exactly
+  /// once. The producer must retry its push after arming: a slot freed
+  /// before the arm fired no wakeup, and the fence makes the retry see it.
+  void ArmProducerWake(Waker* waker) {
+    producer_waker_.store(waker, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 
   /// Consumer: blocks until an element is available or the channel is
@@ -249,10 +265,12 @@ class SpscChannel {
   /// from any thread.
   void Close() {
     closed_.store(true, std::memory_order_release);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     {
       MutexLock lock(&mu_);
     }
     not_full_.NotifyAll();
+    WakeParkedProducer();
     if (waker_ != nullptr) waker_->Wake();
   }
 
@@ -293,6 +311,12 @@ class SpscChannel {
   // side of the channel needs the core more than we need the spin.
   static constexpr int kPushSpinBudget = 64;
 
+  void WakeParkedProducer() {
+    if (producer_waker_.load(std::memory_order_relaxed) == nullptr) return;
+    Waker* waker = producer_waker_.exchange(nullptr, std::memory_order_acq_rel);
+    if (waker != nullptr) waker->Wake();
+  }
+
   void NotifyNotFull() {
     if (producer_waiting_.load(std::memory_order_seq_cst)) {
       { MutexLock lock(&mu_); }
@@ -310,6 +334,9 @@ class SpscChannel {
   Mutex mu_;
   CondVar not_full_;
   std::atomic<bool> producer_waiting_{false};
+  // Scheduler-mode backpressure: the parked producer's waker, fired once
+  // by the next pop or close (see ArmProducerWake).
+  std::atomic<Waker*> producer_waker_{nullptr};
 };
 
 }  // namespace streamline

@@ -64,7 +64,13 @@ void WorkStealingPool::Notify(Schedulable* task) {
   //                                enqueues, so the task sits in at most
   //                                one queue slot per kQueued episode)
   //   kRunning -> kRunningNotified (the running worker requeues at finish)
-  // and treats kQueued / kRunningNotified as already-covered no-ops.
+  // and treats kQueued / kRunningNotified as already covered -- but still
+  // writes them back with a release RMW. A notify publishes data (a ring
+  // push) the task must see on its next run. A plain load that sees
+  // kQueued and returns gives no such edge: with store-load reordering the
+  // pending run can read the ring before the push lands and go idle with
+  // the event stranded. The RMW orders the push before the claim (or the
+  // finish protocol) that reads this state next.
   // Claiming (ClaimAndRun / TryRunInline) takes kQueued -> kRunning with
   // an acquire CAS; the finish protocol (RunClaimed) owns every
   // transition out of kRunning*. The release/acquire pairing on
@@ -74,7 +80,13 @@ void WorkStealingPool::Notify(Schedulable* task) {
   for (;;) {
     if (state == Schedulable::kQueued ||
         state == Schedulable::kRunningNotified) {
-      return;  // someone will (re)run it; nothing to do
+      // Someone will (re)run it; publish to that run and return.
+      if (task->sched_state_.compare_exchange_weak(
+              state, state, std::memory_order_release,
+              std::memory_order_relaxed)) {
+        return;
+      }
+      continue;  // raced; state reloaded
     }
     if (state == Schedulable::kIdle) {
       if (task->sched_state_.compare_exchange_weak(
@@ -176,10 +188,11 @@ void WorkStealingPool::RunClaimed(Schedulable* task) {
   for (;;) {
     uint32_t state = task->sched_state_.load(std::memory_order_relaxed);
     if (more || state == Schedulable::kRunningNotified) {
-      // Requeue. The release store also covers a Notify that lands between
-      // the load and the store: kQueued already means "will run again".
-      task->sched_state_.store(Schedulable::kQueued,
-                               std::memory_order_release);
+      // Requeue. The exchange also covers a Notify that lands between the
+      // load and here: kQueued already means "will run again", and being
+      // an RMW it carries that Notify's publication on to the next claim.
+      task->sched_state_.exchange(Schedulable::kQueued,
+                                  std::memory_order_acq_rel);
       Enqueue(task, /*to_front=*/false);
       return;
     }

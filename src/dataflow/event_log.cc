@@ -1,8 +1,6 @@
 #include "dataflow/event_log.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/logging.h"
 
@@ -48,6 +46,31 @@ Result<Record> EventLog::Read(int partition, uint64_t offset) const {
   return records[offset];
 }
 
+bool EventLog::ReadMerged(std::vector<Cursor>* cursors, size_t max_records,
+                          std::vector<Record>* out) const {
+  MutexLock lock(&mu_);
+  for (Cursor& c : *cursors) c.end = partitions_[c.partition].records.size();
+  for (size_t n = 0; n < max_records; ++n) {
+    // Linear pick, exactly the per-record order: a source subtask owns only
+    // a handful of partitions.
+    Cursor* best = nullptr;
+    Timestamp best_ts = kMaxTimestamp;
+    for (Cursor& c : *cursors) {
+      if (c.offset >= c.end) continue;
+      const Timestamp ts =
+          partitions_[c.partition].records[c.offset].timestamp;
+      if (best == nullptr || ts < best_ts) {
+        best = &c;
+        best_ts = ts;
+      }
+    }
+    if (best == nullptr) break;
+    out->push_back(partitions_[best->partition].records[best->offset++]);
+    best->last_ts = best_ts;
+  }
+  return closed_;
+}
+
 void EventLog::Close() {
   MutexLock lock(&mu_);
   closed_ = true;
@@ -66,55 +89,50 @@ LogSource::LogSource(std::shared_ptr<EventLog> log, int subtask,
     : log_(std::move(log)), subtask_(subtask), parallelism_(parallelism),
       watermark_every_(watermark_every) {
   for (int p = subtask_; p < log_->num_partitions(); p += parallelism_) {
-    my_partitions_.push_back(p);
+    EventLog::Cursor cursor;
+    cursor.partition = p;
+    cursors_.push_back(cursor);
   }
-  offsets_.assign(my_partitions_.size(), 0);
-  last_ts_.assign(my_partitions_.size(), kMinTimestamp);
 }
 
 Result<SourcePoll> LogSource::Poll(SourceContext* ctx) {
-  if (my_partitions_.empty()) return SourcePoll::kExhausted;
-  // Pick the owned partition with the smallest available head timestamp
-  // (best-effort cross-partition ordering) and emit one record per poll.
-  int best = -1;
-  Timestamp best_ts = kMaxTimestamp;
-  bool all_exhausted = true;
-  for (size_t i = 0; i < my_partitions_.size(); ++i) {
-    const int p = my_partitions_[i];
-    if (offsets_[i] < log_->EndOffset(p)) {
-      all_exhausted = false;
-      auto head = log_->Read(p, offsets_[i]);
-      STREAMLINE_CHECK(head.ok());
-      if (head->timestamp < best_ts) {
-        best_ts = head->timestamp;
-        best = static_cast<int>(i);
-      }
-    } else if (!log_->closed()) {
-      all_exhausted = false;
-    }
+  if (cursors_.empty()) return SourcePoll::kExhausted;
+  // One span per poll: a batch, cut where the next watermark is due, so
+  // watermarks fall at the same record counts as record-at-a-time reads.
+  size_t max_records = std::max<size_t>(ctx->PreferredBatchSize(), 1);
+  if (watermark_every_ > 0) {
+    max_records = static_cast<size_t>(std::min<uint64_t>(
+        max_records, watermark_every_ - emitted_ % watermark_every_));
   }
-  if (best == -1) {
-    if (all_exhausted && log_->closed()) return SourcePoll::kExhausted;
+  span_cursors_ = cursors_;
+  span_.clear();
+  const bool closed = log_->ReadMerged(&span_cursors_, max_records, &span_);
+  const auto exhausted = [closed](const EventLog::Cursor& c) {
+    return closed && c.offset >= c.end;
+  };
+  if (span_.empty()) {
+    if (std::all_of(span_cursors_.begin(), span_cursors_.end(), exhausted)) {
+      return SourcePoll::kExhausted;
+    }
     // Open log with no data available yet: the runtime re-polls after a
     // short delay (and keeps servicing checkpoint barriers while idle).
     return SourcePoll::kIdle;
   }
-  auto record = log_->Read(my_partitions_[best], offsets_[best]);
-  STREAMLINE_CHECK(record.ok());
-  last_ts_[best] = record->timestamp;
-  if (!ctx->Emit(std::move(*record))) return SourcePoll::kExhausted;
-  ++offsets_[best];
-  ++emitted_;
+  const size_t n = span_.size();
+  // The cursors advance only once the emit returned: a barrier injected
+  // inside it snapshots the position before the span.
+  const bool emitted = n == 1 ? ctx->Emit(std::move(span_[0]))
+                              : ctx->EmitBatch(std::move(span_));
+  if (!emitted) return SourcePoll::kExhausted;
+  cursors_.swap(span_cursors_);
+  emitted_ += n;
   if (watermark_every_ > 0 && emitted_ % watermark_every_ == 0) {
-    // Conservative per-partition watermark: future records of partition
-    // i have ts >= last_ts_[i] (appends are ordered), so the subtask
+    // Conservative per-partition watermark: future records of a partition
+    // have ts >= its last_ts (appends are ordered), so the subtask
     // watermark is the minimum over its non-exhausted partitions.
     Timestamp wm = kMaxTimestamp;
-    for (size_t i = 0; i < my_partitions_.size(); ++i) {
-      const bool exhausted =
-          log_->closed() &&
-          offsets_[i] >= log_->EndOffset(my_partitions_[i]);
-      if (!exhausted) wm = std::min(wm, last_ts_[i]);
+    for (const EventLog::Cursor& c : cursors_) {
+      if (!exhausted(c)) wm = std::min(wm, c.last_ts);
     }
     if (wm != kMaxTimestamp && wm != kMinTimestamp) {
       ctx->EmitWatermark(wm);
@@ -124,21 +142,21 @@ Result<SourcePoll> LogSource::Poll(SourceContext* ctx) {
 }
 
 Status LogSource::SnapshotState(BinaryWriter* w) const {
-  w->WriteU64(offsets_.size());
-  for (uint64_t off : offsets_) w->WriteU64(off);
+  w->WriteU64(cursors_.size());
+  for (const EventLog::Cursor& c : cursors_) w->WriteU64(c.offset);
   return Status::Ok();
 }
 
 Status LogSource::RestoreState(BinaryReader* r) {
   auto n = r->ReadU64();
   if (!n.ok()) return n.status();
-  if (*n != offsets_.size()) {
+  if (*n != cursors_.size()) {
     return Status::FailedPrecondition("partition assignment mismatch");
   }
-  for (size_t i = 0; i < offsets_.size(); ++i) {
+  for (EventLog::Cursor& c : cursors_) {
     auto off = r->ReadU64();
     if (!off.ok()) return off.status();
-    offsets_[i] = *off;
+    c.offset = *off;
   }
   return Status::Ok();
 }

@@ -33,6 +33,22 @@ class EventLog {
   /// Reads the record at (partition, offset); NotFound past the end.
   Result<Record> Read(int partition, uint64_t offset) const;
 
+  /// Read position in one partition, advanced by ReadMerged.
+  struct Cursor {
+    int partition = 0;
+    uint64_t offset = 0;                // next record to read
+    uint64_t end = 0;                   // end offset seen by the last read
+    Timestamp last_ts = kMinTimestamp;  // timestamp of the last record read
+  };
+
+  /// Span read under one lock: k-way merges the partitions of `cursors`
+  /// from their offsets -- smallest head timestamp first, ties to the
+  /// lower cursor index -- appending copies of up to `max_records` records
+  /// to `out` and advancing the cursors past them. Every cursor's `end` is
+  /// refreshed; returns whether the log was closed, as of this read.
+  bool ReadMerged(std::vector<Cursor>* cursors, size_t max_records,
+                  std::vector<Record>* out) const;
+
   /// Marks the log finished: sources drain to the end offsets and stop
   /// (bounded semantics). Without this, sources idle-wait for appends.
   void Close();
@@ -51,8 +67,10 @@ class EventLog {
 /// Source reading one or more partitions of an EventLog. Each source
 /// subtask owns the partitions `p` with `p % parallelism == subtask`; its
 /// per-partition offsets are checkpointed, giving parallel exactly-once
-/// ingestion. Reading an open log blocks politely (spin+yield) until data
-/// arrives or the log closes; a closed log makes the job bounded.
+/// ingestion. Each Poll emits one span: up to a batch of records merged
+/// across the owned partitions by one ReadMerged call, cut at the
+/// watermark cadence. An open log with nothing new makes Poll return
+/// kIdle (the runtime re-polls it); a closed log makes the job bounded.
 class LogSource : public SourceFunction {
  public:
   LogSource(std::shared_ptr<EventLog> log, int subtask, int parallelism,
@@ -71,12 +89,15 @@ class LogSource : public SourceFunction {
   int subtask_;
   int parallelism_;
   uint64_t watermark_every_;
-  std::vector<int> my_partitions_;
-  std::vector<uint64_t> offsets_;  // parallel to my_partitions_
-  // Poll-local merge state (not checkpointed: watermark cadence restarts
-  // after a restore, which only delays the next watermark).
-  std::vector<Timestamp> last_ts_;  // parallel to my_partitions_
+  // One cursor per owned partition. Only the offsets are checkpointed:
+  // last_ts and the watermark cadence restart after a restore, which only
+  // delays the next watermark.
+  std::vector<EventLog::Cursor> cursors_;
   uint64_t emitted_ = 0;
+  // Poll scratch: the cursors advanced by the in-flight span (committed to
+  // cursors_ once the emit returns) and the span's records.
+  std::vector<EventLog::Cursor> span_cursors_;
+  std::vector<Record> span_;
 };
 
 }  // namespace streamline

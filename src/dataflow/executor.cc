@@ -318,22 +318,14 @@ class Task : public Schedulable {
     const uint8_t phase = phase_.load(std::memory_order_relaxed);
     if (phase == kPhaseDone) return false;
     // Backpressure gate: stashed output must reach its rings before this
-    // task consumes anything new (or finishes). Keep rescheduling until
-    // the consumer makes room; FIFO requeues guarantee the consumer (and,
-    // during barrier alignment, the peer producer whose barrier it waits
-    // for) gets its turn in between.
+    // task consumes anything new (or finishes). Park until pop: arm a
+    // wakeup on every ring still full, retry once (a pop that raced ahead
+    // of the arm fired no wakeup), then go idle. The consumer's next pop
+    // notifies this task; nothing respins while the consumer is behind.
     if (overflow_pending_ && !FlushOverflow()) {
-      // Sustained failure means the consumer is behind; on oversubscribed
-      // cores an unthrottled respin storm here takes the very CPU the
-      // consumer needs to make room. Keep a short hot burst for latency,
-      // then hand the core over.
-      if (++flush_retry_streak_ >= kFlushRetryYieldThreshold) {
-        flush_retry_streak_ = 0;
-        std::this_thread::yield();
-      }
-      return true;
+      ArmOverflowWakeups();
+      if (!FlushOverflow()) return false;
     }
-    flush_retry_streak_ = 0;
     if (finishing_) {
       MarkDone();
       return false;
@@ -591,7 +583,8 @@ class Task : public Schedulable {
     FinishChain();
   }
 
-  /// Source morsel: service any pending barrier, then a few polls. An
+  /// Source morsel: service any pending barrier, then up to
+  /// kPollsPerMorsel polls (each at most one batch of records). An
   /// idle source goes quiet (the job's 1 ms source timer re-notifies it);
   /// an exhausted or cancelled source runs RunSource()'s epilogue.
   bool StepSource() {
@@ -627,7 +620,7 @@ class Task : public Schedulable {
         return FinishSource();
       }
       // A downstream ring filled up: stop polling and reschedule; Step's
-      // preamble re-offers the overflow until the consumer makes room.
+      // preamble re-offers the overflow and parks until the consumer pops.
       if (overflow_pending_) return true;
     }
     return true;
@@ -1271,11 +1264,12 @@ class Task : public Schedulable {
   /// on a channel only this suspended task can drain deadlocks the whole
   /// stack (suspended claims put cycles in the wait graph even though the
   /// dataflow itself is acyclic). Instead a full ring stashes the event
-  /// in the per-target overflow queue and the task simply reschedules:
-  /// its morsel loop stops consuming input and re-offers the overflow
-  /// (oldest first, so per-target order holds) until the consumer makes
-  /// room. Backpressure becomes scheduling state instead of a blocked
-  /// thread, which is what makes workers < tasks deadlock-free.
+  /// in the per-target overflow queue and the task stops consuming input:
+  /// Step's preamble re-offers the overflow (oldest first, so per-target
+  /// order holds) and, while a ring stays full, parks the task until the
+  /// consumer's next pop notifies it. Backpressure becomes scheduling
+  /// state instead of a blocked thread, which is what makes workers <
+  /// tasks deadlock-free.
   void PushEvent(OutputTarget& target, StreamEvent&& event) {
     InputChannel* ch = target.channel;
     if (!scheduler_mode_) {
@@ -1311,6 +1305,17 @@ class Task : public Schedulable {
     }
     overflow_pending_ = !all_empty;
     return all_empty;
+  }
+
+  /// Arms the park-until-pop wakeup on every target with stashed events.
+  void ArmOverflowWakeups() {
+    for (OutputEdge& edge : outputs) {
+      for (OutputTarget& target : edge.targets) {
+        if (!target.overflow.empty()) {
+          target.channel->events.ArmProducerWake(&notify_waker_);
+        }
+      }
+    }
   }
 
   void FlushTarget(OutputTarget* target) {
@@ -1408,10 +1413,6 @@ class Task : public Schedulable {
   // loop stops consuming input until FlushOverflow drains everything
   // (task-serialized, like all non-atomic task state).
   bool overflow_pending_ = false;
-  // Consecutive morsels whose flush failed; past the threshold each failed
-  // respin yields the core to whoever should be draining (task-serialized).
-  static constexpr uint32_t kFlushRetryYieldThreshold = 16;
-  uint32_t flush_retry_streak_ = 0;
   // The finish epilogue ran but overflow was still pending: the next
   // morsel whose flush succeeds marks the task done.
   bool finishing_ = false;

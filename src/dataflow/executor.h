@@ -43,8 +43,10 @@ struct JobOptions {
   /// downstream subtask) pair gets its own single-producer/single-consumer
   /// ring of this many events (an event is usually a whole record batch);
   /// a full ring blocks its producer, which is the engine's backpressure
-  /// mechanism. Rounded up to a power of two.
-  size_t channel_capacity = 256;
+  /// mechanism. Rounded up to a power of two. Shallow by default: queueing
+  /// latency is ring depth / consumer rate, and a few batches in flight
+  /// already keep the consumer busy.
+  size_t channel_capacity = 8;
   /// Records buffered per output channel before a batch is shipped
   /// ("network buffers"); watermarks, barriers and end-of-stream flush
   /// eagerly, so batching never delays control events. 1 disables batching.

@@ -96,8 +96,9 @@ enum class SourcePoll {
 /// amount of data -- at most about one batch -- and returns, keeping all
 /// read position in member state (which is also what the checkpoint hooks
 /// serialize). The engine drives Poll differently per execution mode: the
-/// morsel scheduler runs a few polls per morsel and re-schedules, while
-/// thread-per-task mode loops Poll on a dedicated thread via Run(). The
+/// morsel scheduler runs a bounded number of polls per morsel (so a morsel
+/// carries up to a few batches) and re-schedules, while thread-per-task
+/// mode loops Poll on a dedicated thread via Run(). The
 /// engine makes no other distinction between batch and streaming; an
 /// unbounded source simply never returns kExhausted.
 class SourceFunction {

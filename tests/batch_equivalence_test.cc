@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "api/datastream.h"
+#include "dataflow/event_log.h"
 
 namespace streamline {
 namespace {
@@ -287,6 +288,31 @@ TEST(BatchEquivalenceTest, GeneratorSourceInMotion) {
                             Value(acc.field(1).AsInt64() +
                                   next.field(1).AsInt64()));
         })
+        .Collect();
+  });
+}
+
+TEST(BatchEquivalenceTest, LogSourceSpansOverSkewedPartitions) {
+  // LogSource emits one merged span per poll on the batch path and one
+  // record per poll at batch size 1. Four partitions with skewed lengths,
+  // offsets and cross-partition timestamp ties: a windowed aggregate sees
+  // both the merge order and the watermark positions.
+  auto log = std::make_shared<EventLog>(4);
+  for (int p = 0; p < 4; ++p) {
+    for (int i = 0; i < 200 + 400 * p; ++i) {
+      log->Append(p, MakeRecord(static_cast<Timestamp>(300 * (3 - p) +
+                                                       i * (p + 1) / 2),
+                                Value(static_cast<int64_t>(i % 7)),
+                                Value(static_cast<int64_t>(i))));
+    }
+  }
+  log->Close();
+  ExpectBatchInvariant([log](Environment& env) {
+    return env
+        .FromSource("log", LogSource::Factory(log, /*watermark_every=*/50), 1)
+        .KeyBy(0)
+        .Window(std::make_shared<TumblingWindowFn>(64))
+        .Aggregate(DynAggKind::kSum, 1)
         .Collect();
   });
 }

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "api/datastream.h"
 
@@ -164,6 +169,166 @@ TEST(EventLogTest, ExactlyOnceRestoreFromOffsets) {
       final_state[r.field(0).AsInt64()] = r.field(1).AsDouble();
     }
     EXPECT_EQ(final_state, reference);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Span reads: LogSource emits a whole merged span per poll on the batch path
+// and one record per poll at batch size 1. Both must produce the same
+// records in the same order and the same watermarks at the same positions,
+// and a snapshot taken inside a span's emit must resume right before it.
+
+// Drives one LogSource by hand and logs every emission in order: records
+// as their ToString(), watermarks as "wm <ts>".
+class RecordingContext : public SourceContext {
+ public:
+  explicit RecordingContext(size_t preferred) : preferred_(preferred) {}
+
+  bool Emit(Record&& record) override { return Accept(&record, 1); }
+  bool EmitBatch(std::vector<Record>&& batch) override {
+    const bool ok = Accept(batch.data(), batch.size());
+    batch.clear();
+    return ok;
+  }
+  size_t PreferredBatchSize() const override { return preferred_; }
+  void EmitWatermark(Timestamp wm) override {
+    log.push_back("wm " + std::to_string(wm));
+  }
+  void HandleIdle() override {}
+  bool IsCancelled() const override { return false; }
+
+  /// Runs the source to exhaustion (or until the crash point).
+  void Drain(LogSource* source) {
+    for (;;) {
+      auto polled = source->Poll(this);
+      ASSERT_TRUE(polled.ok());
+      if (*polled == SourcePoll::kExhausted) return;
+      ASSERT_EQ(*polled, SourcePoll::kHasMore);  // closed log: never idle
+    }
+  }
+
+  std::vector<std::string> log;
+  size_t records = 0;
+  // Barrier model: the emit that carries record number `snapshot_at`
+  // first snapshots `source` (the engine injects barriers at the start of
+  // an emit). The emit that carries record number `crash_at` delivers the
+  // records before it and then fails, as a fault does mid-span.
+  LogSource* source = nullptr;
+  size_t snapshot_at = SIZE_MAX;
+  size_t crash_at = SIZE_MAX;
+  std::string snapshot;
+  size_t records_at_snapshot = 0;
+
+ private:
+  bool Accept(Record* span, size_t n) {
+    if (records <= snapshot_at && snapshot_at < records + n) {
+      BinaryWriter w;
+      EXPECT_TRUE(source->SnapshotState(&w).ok());
+      snapshot = w.Release();
+      records_at_snapshot = records;
+    }
+    for (size_t i = 0; i < n; ++i, ++records) {
+      if (records == crash_at) return false;
+      log.push_back(span[i].ToString());
+    }
+    return true;
+  }
+
+  size_t preferred_;
+};
+
+// Per-partition timestamp layouts over a 4-partition log.
+std::shared_ptr<EventLog> SpanTestLog(const std::string& layout) {
+  auto log = std::make_shared<EventLog>(4);
+  for (int p = 0; p < 4; ++p) {
+    if (layout == "interleaved") {
+      for (int i = 0; i < 300; ++i) log->Append(p, Ev(4 * i + p, p, i));
+    } else if (layout == "tied") {
+      // Every timestamp appears in every partition, several times.
+      for (int i = 0; i < 300; ++i) log->Append(p, Ev(i / 3, p, i));
+    } else {  // skewed: different lengths, offsets and densities
+      const int n = 40 + 250 * p;
+      for (int i = 0; i < n; ++i) {
+        log->Append(p, Ev(1000 * (3 - p) + i * (p + 1) / 2, p, i));
+      }
+    }
+  }
+  log->Close();
+  return log;
+}
+
+TEST(EventLogTest, SpanReadsMatchPerRecordReads) {
+  for (const std::string layout : {"interleaved", "tied", "skewed"}) {
+    const auto log = SpanTestLog(layout);
+    for (int parallelism : {1, 2}) {
+      for (int subtask = 0; subtask < parallelism; ++subtask) {
+        for (uint64_t wm_every : {0u, 7u, 100u}) {
+          const std::string label = layout + " p=" +
+                                    std::to_string(parallelism) + "/" +
+                                    std::to_string(subtask) + " wm_every=" +
+                                    std::to_string(wm_every);
+          // Oracle order: the k-way merge of timestamp-sorted partitions,
+          // ties to the lower partition, is a sort by (ts, partition,
+          // offset).
+          std::vector<std::tuple<Timestamp, int, uint64_t>> keys;
+          for (int p = subtask; p < 4; p += parallelism) {
+            for (uint64_t off = 0; off < log->EndOffset(p); ++off) {
+              keys.emplace_back(log->Read(p, off)->timestamp, p, off);
+            }
+          }
+          std::sort(keys.begin(), keys.end());
+          std::vector<std::string> oracle;
+          for (const auto& [ts, p, off] : keys) {
+            oracle.push_back(log->Read(p, off)->ToString());
+          }
+
+          std::vector<std::string> per_record;
+          for (size_t batch : {1u, 256u}) {
+            LogSource source(log, subtask, parallelism, wm_every);
+            RecordingContext ctx(batch);
+            ctx.Drain(&source);
+            std::vector<std::string> records;
+            for (const std::string& e : ctx.log) {
+              if (e.rfind("wm ", 0) != 0) records.push_back(e);
+            }
+            EXPECT_EQ(records, oracle) << label << " batch=" << batch;
+            if (batch == 1) {
+              per_record = ctx.log;
+            } else {
+              // Same records and the same watermarks at the same positions.
+              EXPECT_EQ(ctx.log, per_record) << label;
+            }
+          }
+
+          // Crash + restore in the middle of a span: the snapshot taken
+          // inside the emit resumes exactly at the span's first record.
+          for (size_t batch : {1u, 256u}) {
+            const size_t snapshot_at = oracle.size() / 3 + 1;
+            const size_t crash_at = 2 * oracle.size() / 3 + 1;
+            LogSource crashed(log, subtask, parallelism, wm_every);
+            RecordingContext ctx(batch);
+            ctx.source = &crashed;
+            ctx.snapshot_at = snapshot_at;
+            ctx.crash_at = crash_at;
+            ctx.Drain(&crashed);
+            ASSERT_FALSE(ctx.snapshot.empty()) << label;
+            EXPECT_EQ(ctx.records, crash_at) << label;
+
+            LogSource restored(log, subtask, parallelism, wm_every);
+            BinaryReader r(ctx.snapshot);
+            ASSERT_TRUE(restored.RestoreState(&r).ok()) << label;
+            RecordingContext rest(batch);
+            rest.Drain(&restored);
+            std::vector<std::string> records(
+                oracle.begin(), oracle.begin() + ctx.records_at_snapshot);
+            for (const std::string& e : rest.log) {
+              if (e.rfind("wm ", 0) != 0) records.push_back(e);
+            }
+            EXPECT_EQ(records, oracle) << label << " batch=" << batch;
+          }
+        }
+      }
+    }
   }
 }
 

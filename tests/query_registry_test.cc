@@ -5,15 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <set>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "api/datastream.h"
 #include "common/fault_injection.h"
+#include "common/mutex.h"
 #include "dataflow/query_registry.h"
 
 namespace streamline {
@@ -312,24 +315,30 @@ TEST(QueryRegistryTest, DemuxSinkRoutesResultsToPerQueryHandlers) {
   }
   ASSERT_GE(spec_results.load(), 60u);
 
-  std::atomic<uint64_t> my_results{0};
-  std::atomic<bool> mistagged{false};
-  uint64_t id = 0;
-  id = registry->AttachTumbling(
-      kWindow, 0, [&my_results, &mistagged, &id](const Record& r) {
-        ++my_results;
-        if (r.field(3).AsInt64() != static_cast<int64_t>(id)) {
-          mistagged = true;
-        }
+  // The handler runs on pool workers and may fire (backfilled results)
+  // before AttachTumbling has returned the id, so it only records the
+  // tags it sees; they are checked against the id afterwards.
+  Mutex tags_mu;
+  std::vector<int64_t> tags;
+  const uint64_t id = registry->AttachTumbling(
+      kWindow, 0, [&tags_mu, &tags](const Record& r) {
+        MutexLock lock(&tags_mu);
+        tags.push_back(r.field(3).AsInt64());
       });
   gate->store(true);
   ASSERT_TRUE(registry->WaitQueryApplied(id, std::chrono::seconds(30)));
   ASSERT_TRUE((*job)->AwaitCompletion().ok());
 
-  EXPECT_GE(my_results.load(), 1u);
-  EXPECT_FALSE(mistagged.load());
-  EXPECT_EQ(registry->ResultCount(id), my_results.load());
-  EXPECT_GT(spec_results.load(), my_results.load());
+  MutexLock lock(&tags_mu);
+  const uint64_t my_results = tags.size();
+  const bool mistagged =
+      std::any_of(tags.begin(), tags.end(), [id](int64_t tag) {
+        return tag != static_cast<int64_t>(id);
+      });
+  EXPECT_GE(my_results, 1u);
+  EXPECT_FALSE(mistagged);
+  EXPECT_EQ(registry->ResultCount(id), my_results);
+  EXPECT_GT(spec_results.load(), my_results);
 }
 
 // ---------------------------------------------------------------------------

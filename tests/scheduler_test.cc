@@ -9,14 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <mutex>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -238,6 +243,16 @@ TEST(SchedulerJobTest, PoolSizeBoundsOsThreads) {
   // Parallelism 8 in thread-per-task mode would spawn a thread per
   // subtask; the scheduler must spawn exactly worker_threads workers plus
   // the shared timer thread, regardless of task count.
+  // ThreadSanitizer's runtime starts a helper thread at the first thread
+  // creation; let that happen before the baseline is taken, and let the
+  // probe thread itself be reaped first (its /proc entry can outlive the
+  // join, see the end of the test).
+  pid_t probe_tid = 0;
+  std::thread([&probe_tid] { probe_tid = ::gettid(); }).join();
+  const std::string probe_entry =
+      "/proc/self/task/" + std::to_string(probe_tid);
+  ASSERT_TRUE(AwaitTrue([&] { return !std::filesystem::exists(probe_entry); },
+                        milliseconds(2'000)));
   const size_t baseline = OsThreadCount();
 
   std::atomic<bool> stop{false};
@@ -276,7 +291,12 @@ TEST(SchedulerJobTest, PoolSizeBoundsOsThreads) {
   stop.store(true, std::memory_order_release);
   EXPECT_TRUE((*job)->AwaitCompletion().ok());
   job->reset();  // joins the pool
-  EXPECT_EQ(OsThreadCount(), baseline);
+  // pthread_join returns once the thread's tid is cleared, which the kernel
+  // does just before it reaps the task; its /proc entry may outlive the
+  // join by a moment.
+  EXPECT_TRUE(AwaitTrue([&] { return OsThreadCount() == baseline; },
+                        milliseconds(2'000)))
+      << OsThreadCount() << " threads, baseline " << baseline;
 }
 
 // Regression for backpressure-under-alignment: with one worker and many
@@ -332,6 +352,119 @@ TEST(SchedulerJobTest, BarriersCompleteWithOneWorkerManyTasks) {
     ASSERT_GE(off, 0) << "checkpoint " << cp << " never passed the sink";
     EXPECT_GE(off, prev);
     prev = off;
+  }
+}
+
+// End of input races a producer's last pushes against its consumers going
+// idle. A consumer that misses the notification for its final event (an
+// EOS left in its ring) never finishes, and the job hangs. Stop an
+// unbounded source at random points, many times, under a watchdog.
+TEST(SchedulerJobTest, EndOfInputNeverStrandsAnEvent) {
+  constexpr int kJobs = 1'500;
+  std::atomic<int> completed{0};
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&] {
+    int last = -1;
+    auto last_change = steady_clock::now();
+    while (!finished.load()) {
+      std::this_thread::sleep_for(milliseconds(50));
+      const int now = completed.load();
+      if (now != last) {
+        last = now;
+        last_change = steady_clock::now();
+      } else if (steady_clock::now() - last_change > milliseconds(20'000)) {
+        std::fprintf(stderr, "job %d never completed: lost wakeup\n", now);
+        std::abort();
+      }
+    }
+  });
+  struct JoinWatchdog {
+    std::atomic<bool>* finished;
+    std::thread* watchdog;
+    ~JoinWatchdog() {
+      finished->store(true);
+      watchdog->join();
+    }
+  } join_watchdog{&finished, &watchdog};
+  std::mt19937 rng(7);
+  for (int it = 0; it < kJobs; ++it) {
+    std::atomic<bool> stop{false};
+    Environment env(8);
+    auto sink = env.FromGenerator(
+                       "unbounded",
+                       [&stop](uint64_t seq) -> std::optional<Record> {
+                         if (stop.load(std::memory_order_acquire)) {
+                           return std::nullopt;
+                         }
+                         return KeyedValue(seq);
+                       })
+                    .KeyBy(0)
+                    .Reduce([](const Record& acc, const Record&) {
+                      return acc;
+                    })
+                    .Collect();
+    JobOptions options;
+    options.worker_threads = 1 + it % 3;
+    auto job = env.CreateJob(options);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    ASSERT_TRUE((*job)->Start().ok());
+    std::this_thread::sleep_for(microseconds(rng() % 1'000));
+    stop.store(true, std::memory_order_release);
+    ASSERT_TRUE((*job)->AwaitCompletion().ok());
+    completed.fetch_add(1);
+  }
+}
+
+// Park until pop: a producer whose output ring stays full goes idle until
+// the consumer pops, instead of respinning morsels while blocked. Two
+// sources feed a consumer slowed on purpose through 2-event rings; the job
+// must finish, and the pool must run about a constant number of morsels
+// per shipped batch, plus at most one 1 ms timer re-poll per source. (A
+// respinning producer runs hundreds of thousands here.)
+TEST(SchedulerJobTest, BackpressuredProducerParksUntilPop) {
+  constexpr uint64_t kRecordsEach = 500;
+  constexpr uint64_t kRecords = 2 * kRecordsEach;
+  constexpr size_t kBatch = 16;
+  constexpr uint64_t kBatches = kRecords / kBatch;
+  const auto gen = [](uint64_t s) -> std::optional<Record> {
+    if (s >= kRecordsEach) return std::nullopt;
+    return KeyedValue(s);
+  };
+  for (size_t workers : {1u, 2u, 4u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      Environment env;
+      DataStream left = env.FromGenerator("left", gen);
+      DataStream right = env.FromGenerator("right", gen);
+      auto sink = left.Union(right)
+                      .Map([](Record&& r) {
+                        std::this_thread::sleep_for(microseconds(20));
+                        return std::move(r);
+                      })
+                      .Collect();
+      JobOptions options;
+      options.execution_mode = JobOptions::ExecutionMode::kScheduler;
+      options.worker_threads = workers;
+      options.channel_capacity = 2;
+      options.batch_size = kBatch;
+      auto job = env.CreateJob(options);
+      ASSERT_TRUE(job.ok()) << job.status().ToString();
+      const auto start = steady_clock::now();
+      ASSERT_TRUE((*job)->Start().ok());
+      ASSERT_TRUE(AwaitTrue([&] { return sink->size() == kRecords; }))
+          << "workers=" << workers << " rep=" << rep << " stalled at "
+          << sink->size();
+      ASSERT_TRUE((*job)->AwaitCompletion().ok());
+      const auto elapsed_ms = static_cast<uint64_t>(
+          std::chrono::duration_cast<milliseconds>(steady_clock::now() -
+                                                   start)
+              .count());
+      const SchedulerCounters& c = (*job)->scheduler()->counters();
+      const uint64_t morsels =
+          c.morsels_local.load() + c.morsels_stolen.load() +
+          c.morsels_injected.load() + c.morsels_inline.load();
+      EXPECT_LE(morsels, 8 * kBatches + 2 * (elapsed_ms + 1))
+          << "workers=" << workers << " rep=" << rep;
+    }
   }
 }
 

@@ -165,6 +165,94 @@ TEST(SpscChannelTest, BlockedProducerWakesOnClose) {
   EXPECT_TRUE(returned.load());
 }
 
+// Scheduler-mode backpressure: a producer that must not block arms a
+// one-shot wakeup; the next pop (or close) fires it exactly once.
+class CountingWaker : public Waker {
+ public:
+  void Wake() override { wakes.fetch_add(1); }
+  std::atomic<int> wakes{0};
+};
+
+TEST(SpscChannelTest, ArmedProducerWokenOnceByPop) {
+  SpscChannel<int> ch(2);
+  ASSERT_TRUE(ch.TryPush(1));
+  ASSERT_TRUE(ch.TryPush(2));
+  ASSERT_FALSE(ch.TryPush(3));
+  CountingWaker producer;
+  ch.ArmProducerWake(&producer);
+  EXPECT_EQ(producer.wakes.load(), 0);
+  int v = 0;
+  ASSERT_TRUE(ch.TryPop(&v));
+  EXPECT_EQ(producer.wakes.load(), 1);
+  ASSERT_TRUE(ch.TryPop(&v));
+  EXPECT_FALSE(ch.TryPop(&v));
+  ch.Close();
+  EXPECT_EQ(producer.wakes.load(), 1);  // one-shot: disarmed by the wake
+}
+
+TEST(SpscChannelTest, ArmedProducerWokenOnceByClose) {
+  SpscChannel<int> ch(1);
+  ASSERT_TRUE(ch.TryPush(1));
+  CountingWaker producer;
+  ch.ArmProducerWake(&producer);
+  ch.Close();
+  EXPECT_EQ(producer.wakes.load(), 1);
+  EXPECT_FALSE(ch.TryPush(2));  // rejected: the woken producer drops it
+  int v = 0;
+  ASSERT_TRUE(ch.TryPop(&v));  // draining after close fires nothing more
+  EXPECT_EQ(producer.wakes.load(), 1);
+}
+
+// The arm/retry handshake under contention: a producer that arms, retries
+// once and otherwise sleeps until woken never misses a slot (a lost wakeup
+// leaves it asleep for good).
+TEST(SpscChannelTest, ParkUntilPopNeverLosesAWakeup) {
+  constexpr int kItems = 200'000;
+  SpscChannel<int> ch(2);
+  struct SemaphoreWaker : public Waker {
+    void Wake() override {
+      {
+        MutexLock lock(&mu);
+        ++permits;
+      }
+      cv.NotifyOne();
+    }
+    void Acquire() {
+      MutexLock lock(&mu);
+      while (permits == 0) cv.Wait(&mu);
+      --permits;
+    }
+    Mutex mu;
+    CondVar cv;
+    int permits = 0;
+  } waker;
+  std::thread producer([&] {
+    for (int i = 0; i < kItems; ++i) {
+      int item = i;
+      while (!ch.TryPush(std::move(item))) {
+        ch.ArmProducerWake(&waker);
+        if (ch.TryPush(std::move(item))) break;
+        waker.Acquire();  // a lost wakeup hangs here
+      }
+    }
+    ch.Close();
+  });
+  int expected = 0;
+  int v = 0;
+  while (true) {
+    if (ch.TryPop(&v)) {
+      ASSERT_EQ(v, expected);
+      ++expected;
+    } else if (ch.closed()) {
+      if (!ch.TryPop(&v)) break;
+      ASSERT_EQ(v, expected);
+      ++expected;
+    }
+  }
+  producer.join();
+  EXPECT_EQ(expected, kItems);
+}
+
 TEST(SpscChannelTest, ConsumerParksOnDoorbellUntilPush) {
   Doorbell bell;
   SpscChannel<int> ch(4, &bell);

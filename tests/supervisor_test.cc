@@ -292,7 +292,12 @@ TEST(SupervisorTest, CancelStopsSupervision) {
       .Sink(sink, "sink");
   JobSupervisor supervisor(env.graph(), JobOptions());
   std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Cancel a running job: a cancel that lands before the first attempt
+    // starts ends supervision with Cancelled instead, which is a
+    // different case.
+    while (sink->pending_size() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     supervisor.Cancel();
   });
   const Status st = supervisor.Run();
