@@ -140,9 +140,9 @@ class JsonReport {
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
-/// Copies the `scheduler.*` gauges a finished scheduler-mode job exports
-/// (worker count, where morsels ran, steal/park/wake totals) into `report`
-/// under `prefix` -- e.g. prefix "keyed_w4_sched_" yields
+/// Copies the `scheduler.*` gauges a finished job exports (worker count,
+/// where morsels ran, steal/park/wake totals) into `report` under
+/// `prefix` -- e.g. prefix "keyed_w4_sched_" yields
 /// "keyed_w4_sched_morsels_stolen". Call after Job::Run() and before the
 /// job is destroyed.
 inline void AddSchedulerGauges(JsonReport& report, const std::string& prefix,

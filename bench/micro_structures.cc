@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include <unordered_map>
 
@@ -204,17 +205,26 @@ void BM_BoundedQueueThroughput(benchmark::State& state) {
 BENCHMARK(BM_BoundedQueueThroughput)->UseRealTime();
 
 void BM_SpscChannelThroughput(benchmark::State& state) {
-  Doorbell bell;
-  SpscChannel<int> ch(1024, &bell);
+  SpscChannel<int> ch(1024);
   std::atomic<uint64_t> consumed{0};
   std::thread consumer([&] {
-    while (ch.Pop().has_value()) {
-      consumed.fetch_add(1, std::memory_order_relaxed);
+    int v = 0;
+    for (;;) {
+      if (ch.TryPop(&v)) {
+        consumed.fetch_add(1, std::memory_order_relaxed);
+      } else if (ch.closed()) {
+        // One more pop covers an item pushed just before the close.
+        if (!ch.TryPop(&v)) break;
+        consumed.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        std::this_thread::yield();
+      }
     }
   });
   size_t n = 0;
   for (auto _ : state) {
-    ch.Push(1);
+    // A full ring is backpressure: yield to the consumer and retry.
+    while (!ch.TryPush(1)) std::this_thread::yield();
     ++n;
   }
   ch.Close();

@@ -18,12 +18,12 @@ namespace {
 thread_local WorkStealingPool* tls_pool = nullptr;
 thread_local size_t tls_worker_index = 0;
 
-// Yields this many times while empty before parking (mirrors the
-// executor's idle_spin_budget philosophy: cheap wakeups beat latency).
+// Yields this many times while empty before parking: cheap wakeups beat
+// latency.
 constexpr int kIdleSpinBudget = 64;
 
 // Parked workers still wake at this cadence as a backstop against lost
-// wakeups -- the same contract Doorbell::Park honors.
+// wakeups.
 constexpr auto kParkBackstop = std::chrono::milliseconds(1);
 
 void SetCurrentThreadName(const std::string& name) {
@@ -40,11 +40,7 @@ void SetCurrentThreadName(const std::string& name) {
 WorkStealingPool::WorkStealingPool(Options options)
     : name_prefix_(options.thread_name_prefix) {
   size_t n = options.num_workers;
-  if (options.timer_only) {
-    n = 0;
-  } else if (n == 0) {
-    n = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     workers_.emplace_back(std::make_unique<Worker>());
@@ -71,11 +67,11 @@ void WorkStealingPool::Notify(Schedulable* task) {
   // pending run can read the ring before the push lands and go idle with
   // the event stranded. The RMW orders the push before the claim (or the
   // finish protocol) that reads this state next.
-  // Claiming (ClaimAndRun / TryRunInline) takes kQueued -> kRunning with
-  // an acquire CAS; the finish protocol (RunClaimed) owns every
-  // transition out of kRunning*. The release/acquire pairing on
-  // claim/finish is the happens-before edge that hands the task's
-  // non-atomic state from one worker to the next.
+  // Claiming (ClaimAndRun) takes kQueued -> kRunning with an acquire CAS;
+  // the finish protocol (RunClaimed) owns every transition out of
+  // kRunning*. The release/acquire pairing on claim/finish is the
+  // happens-before edge that hands the task's non-atomic state from one
+  // worker to the next.
   uint32_t state = task->sched_state_.load(std::memory_order_relaxed);
   for (;;) {
     if (state == Schedulable::kQueued ||
@@ -134,8 +130,7 @@ void WorkStealingPool::WakeOne() {
   if (num_parked_approx_.load(std::memory_order_seq_cst) == 0) return;
   {
     // Empty critical section: serializes with a worker between its "deques
-    // are empty" check and its park, so the notify below cannot be lost
-    // (same protocol as Doorbell::Ring).
+    // are empty" check and its park, so the notify below cannot be lost.
     MutexLock lock(&park_mu_);
   }
   counters_.wakeups.fetch_add(1, std::memory_order_relaxed);
@@ -163,26 +158,18 @@ bool WorkStealingPool::ClaimAndRun(Schedulable* task,
 }
 
 void WorkStealingPool::RunClaimed(Schedulable* task) {
-  const bool time_it = tls_pool == this;
-  std::chrono::steady_clock::time_point start;
-  if (time_it) {
-    start = std::chrono::steady_clock::now();
-    Worker& self = *workers_[tls_worker_index];
-    self.current_since_ns.store(
-        static_cast<uint64_t>(start.time_since_epoch().count()),
-        std::memory_order_relaxed);
-    self.current.store(task, std::memory_order_relaxed);
-  }
+  Worker& self = *workers_[tls_worker_index];
+  const auto start = std::chrono::steady_clock::now();
+  self.current_since_ns.store(
+      static_cast<uint64_t>(start.time_since_epoch().count()),
+      std::memory_order_relaxed);
+  self.current.store(task, std::memory_order_relaxed);
   const bool more = task->Step();
-  if (time_it) {
-    Worker& self = *workers_[tls_worker_index];
-    self.current.store(nullptr, std::memory_order_relaxed);
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-    self.busy_ns.fetch_add(static_cast<uint64_t>(ns),
-                           std::memory_order_relaxed);
-  }
+  self.current.store(nullptr, std::memory_order_relaxed);
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  self.busy_ns.fetch_add(static_cast<uint64_t>(ns), std::memory_order_relaxed);
   // Finish protocol. We own the kRunning* state; Notify may still flip
   // kRunning -> kRunningNotified concurrently.
   for (;;) {
@@ -207,7 +194,7 @@ void WorkStealingPool::RunClaimed(Schedulable* task) {
 }
 
 bool WorkStealingPool::TryRunOneTask() {
-  const bool on_pool = tls_pool == this;
+  Worker& self = *workers_[tls_worker_index];
   auto run_from_global = [this]() -> bool {
     for (;;) {
       Schedulable* task = nullptr;
@@ -228,32 +215,25 @@ bool WorkStealingPool::TryRunOneTask() {
   // starving off-pool notifies forever. Poll the global queue *first* on
   // every kGlobalPollStride-th acquisition (Go's scheduler plays the same
   // trick with its global runq).
-  if (on_pool) {
-    constexpr uint64_t kGlobalPollStride = 61;
-    Worker& self = *workers_[tls_worker_index];
-    if (++self.tick % kGlobalPollStride == 0 &&
-        global_size_.load(std::memory_order_relaxed) != 0 &&
-        run_from_global()) {
-      return true;
-    }
+  constexpr uint64_t kGlobalPollStride = 61;
+  if (++self.tick % kGlobalPollStride == 0 &&
+      global_size_.load(std::memory_order_relaxed) != 0 &&
+      run_from_global()) {
+    return true;
   }
   // 1. Own deque, newest first (LIFO: hot caches).
-  if (on_pool) {
-    Worker& self = *workers_[tls_worker_index];
-    for (;;) {
-      Schedulable* task = nullptr;
-      {
-        MutexLock lock(&self.mu);
-        if (!self.deque.empty()) {
-          task = self.deque.front();
-          self.deque.pop_front();
-          self.approx_size.store(self.deque.size(),
-                                 std::memory_order_relaxed);
-        }
+  for (;;) {
+    Schedulable* task = nullptr;
+    {
+      MutexLock lock(&self.mu);
+      if (!self.deque.empty()) {
+        task = self.deque.front();
+        self.deque.pop_front();
+        self.approx_size.store(self.deque.size(), std::memory_order_relaxed);
       }
-      if (task == nullptr) break;
-      if (ClaimAndRun(task, &counters_.morsels_local)) return true;
     }
+    if (task == nullptr) break;
+    if (ClaimAndRun(task, &counters_.morsels_local)) return true;
   }
   // 2. Global injection queue (notifies from outside the pool).
   if (global_size_.load(std::memory_order_relaxed) != 0 &&
@@ -263,10 +243,8 @@ bool WorkStealingPool::TryRunOneTask() {
   // 3. Steal the oldest task from a peer. Start past our own index so
   // victims differ across workers instead of all hammering worker 0.
   const size_t n = workers_.size();
-  const size_t start = on_pool ? tls_worker_index + 1 : 0;
-  for (size_t k = 0; k < n; ++k) {
-    const size_t v = (start + k) % n;
-    if (on_pool && v == tls_worker_index) continue;
+  for (size_t k = 1; k < n; ++k) {
+    const size_t v = (tls_worker_index + k) % n;
     Worker& victim = *workers_[v];
     if (victim.approx_size.load(std::memory_order_relaxed) == 0) continue;
     for (;;) {
@@ -288,26 +266,6 @@ bool WorkStealingPool::TryRunOneTask() {
     }
   }
   return false;
-}
-
-bool WorkStealingPool::TryRunInline(Schedulable* task) {
-  // Claim directly from idle or queued. Claiming an idle task is harmless:
-  // its Step finds nothing and it goes back to idle. A queued task's deque
-  // entry goes stale; ClaimAndRun's CAS drops it when dequeued.
-  uint32_t expected = Schedulable::kIdle;
-  if (!task->sched_state_.compare_exchange_strong(
-          expected, Schedulable::kRunning, std::memory_order_acq_rel,
-          std::memory_order_relaxed)) {
-    if (expected != Schedulable::kQueued) return false;  // running elsewhere
-    if (!task->sched_state_.compare_exchange_strong(
-            expected, Schedulable::kRunning, std::memory_order_acq_rel,
-            std::memory_order_relaxed)) {
-      return false;
-    }
-  }
-  counters_.morsels_inline.fetch_add(1, std::memory_order_relaxed);
-  RunClaimed(task);
-  return true;
 }
 
 void WorkStealingPool::WorkerMain(size_t index) {
@@ -442,8 +400,6 @@ void WorkStealingPool::Shutdown() {
     w->approx_size.store(0, std::memory_order_relaxed);
   }
 }
-
-bool WorkStealingPool::OnWorkerThread() const { return tls_pool == this; }
 
 uint64_t WorkStealingPool::WorkerBusyMicros(size_t i) const {
   STREAMLINE_CHECK_LT(i, workers_.size());

@@ -59,7 +59,6 @@ struct SchedulerCounters {
   std::atomic<uint64_t> morsels_local{0};    // run from the worker's own deque
   std::atomic<uint64_t> morsels_stolen{0};   // run after stealing from a peer
   std::atomic<uint64_t> morsels_injected{0}; // run from the global queue
-  std::atomic<uint64_t> morsels_inline{0};   // run inside a backpressure wait
   std::atomic<uint64_t> steals{0};           // successful steal operations
   std::atomic<uint64_t> parks{0};            // worker park events
   std::atomic<uint64_t> wakeups{0};          // NotifyOne calls on parked workers
@@ -68,11 +67,11 @@ struct SchedulerCounters {
 
 /// Fixed pool of worker threads executing Schedulable morsels: each worker
 /// owns a deque of ready tasks, steals from peers when its own is empty,
-/// and parks (1 ms timed backstop against lost wakeups, like Doorbell)
-/// when nothing is runnable anywhere. This is the engine's morsel-driven
-/// scheduler -- logical subtasks are multiplexed over a pool sized to the
-/// hardware instead of getting dedicated OS threads -- and also the one
-/// sanctioned home of raw std::thread (lint rule raw-thread).
+/// and parks (1 ms timed backstop against lost wakeups) when nothing is
+/// runnable anywhere. This is the engine's morsel-driven scheduler --
+/// logical subtasks are multiplexed over a pool sized to the hardware
+/// instead of getting dedicated OS threads -- and also the one sanctioned
+/// home of raw std::thread (lint rule raw-thread).
 ///
 /// A timer facility (one lazily started thread shared by all periodic
 /// callbacks) replaces ad-hoc sleeper threads: checkpoint cadence and
@@ -80,12 +79,8 @@ struct SchedulerCounters {
 class WorkStealingPool {
  public:
   struct Options {
-    /// Worker count; 0 means std::thread::hardware_concurrency(). A pool
-    /// with `timer_only = true` starts no workers at all and only serves
-    /// ScheduleRepeating (legacy thread-per-task jobs use this for their
-    /// checkpoint cadence).
+    /// Worker count; 0 means std::thread::hardware_concurrency().
     size_t num_workers = 0;
-    bool timer_only = false;
     /// Worker thread names become "<prefix><index>" (pthread_setname_np,
     /// 15-char limit); keep the prefix short.
     std::string thread_name_prefix = "sl-work";
@@ -106,19 +101,6 @@ class WorkStealingPool {
   /// workers at once.
   void Notify(Schedulable* task);
 
-  /// Claims and runs one ready task on the calling thread: own deque
-  /// first, then the global queue, then stealing a peer's oldest task.
-  /// Returns false when nothing was runnable. This doubles as the
-  /// backpressure escape hatch -- a producer blocked on a full channel
-  /// keeps the pool making progress (including running the very consumer
-  /// it is waiting for) instead of stalling a worker.
-  bool TryRunOneTask();
-
-  /// Claims `task` directly (from idle or queued) and runs one morsel on
-  /// the calling thread; false when it is currently running elsewhere.
-  /// Used by producers to drain their own full output channel's consumer.
-  bool TryRunInline(Schedulable* task);
-
   /// Runs `fn` every `period_ms` on the shared timer thread until
   /// cancelled; returns the timer id. Callbacks must be short (notify
   /// tasks, trigger coordinators) -- they all share one thread.
@@ -129,9 +111,6 @@ class WorkStealingPool {
   /// that have not started are dropped -- their owners are being torn down
   /// with the pool. Idempotent; also run by the destructor.
   void Shutdown();
-
-  /// True when the calling thread is one of this pool's workers.
-  bool OnWorkerThread() const;
 
   const SchedulerCounters& counters() const { return counters_; }
   /// Cumulative busy time of worker `i` (time spent inside Step calls).
@@ -167,6 +146,10 @@ class WorkStealingPool {
   };
 
   void WorkerMain(size_t index);
+  /// Claims and runs one ready task on the calling worker: own deque
+  /// first, then the global queue, then stealing a peer's oldest task.
+  /// Returns false when nothing was runnable.
+  bool TryRunOneTask();
   void TimerMain();
   /// Puts an already-kQueued task on a run queue and wakes a parked
   /// worker. Called with no locks held. `to_front` selects the hot (LIFO)

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <deque>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -41,8 +40,8 @@ class WalChangelogSink : public ChangelogSink {
 /// rings are single-producer/single-consumer by construction -- every
 /// (upstream subtask, downstream subtask) pair gets its own InputChannel.
 struct InputChannel {
-  InputChannel(size_t capacity, Doorbell* doorbell)
-      : events(capacity, doorbell), recycle(capacity + 2) {}
+  explicit InputChannel(size_t capacity)
+      : events(capacity), recycle(capacity + 2) {}
 
   SpscChannel<StreamEvent> events;
   // Lossy buffer recycling: the consumer TryPushes drained
@@ -57,10 +56,10 @@ struct OutputTarget {
   // Per-target record buffer ("network buffer"): amortizes channel
   // synchronization over batch_size records.
   std::vector<Record> buffer;
-  // Scheduler-mode backpressure: events that found the ring full wait
-  // here, in order, and are re-offered before anything newer (see
-  // PushEvent). Bounded by one morsel's output -- a task with pending
-  // overflow stops consuming input until the queue drains.
+  // Backpressure: events that found the ring full wait here, in order,
+  // and are re-offered before anything newer (see PushEvent). Bounded by
+  // one morsel's output -- a task with pending overflow stops consuming
+  // input until the queue drains.
   std::deque<StreamEvent> overflow;
 };
 
@@ -91,14 +90,11 @@ constexpr size_t kDrainBudgetPerVisit = 1;
 /// One physical task: a chain of operators (possibly headed by a source),
 /// with one SPSC input channel per upstream subtask, multiplexed
 /// round-robin with per-channel watermark and barrier-alignment tracking.
-/// Two execution modes drive it. The morsel scheduler (default) runs
-/// bounded Step() calls on a fixed work-stealing pool, so a logical task is
-/// just a schedulable unit and parallelism above the core count does not
-/// add OS threads. Thread-per-task mode runs the blocking Run() body on a
-/// dedicated thread. Both modes share all delivery, routing, and
-/// checkpoint logic -- and because the pool serializes Step() calls per
-/// task and channels stay FIFO, barrier positions and sink output are
-/// byte-identical between them.
+/// The morsel scheduler runs bounded Step() calls on a fixed
+/// work-stealing pool, so a logical task is just a schedulable unit and
+/// parallelism above the core count does not add OS threads. Because the
+/// pool serializes Step() calls per task and channels stay FIFO, barrier
+/// positions and sink output do not depend on the worker count.
 class Task : public Schedulable {
  public:
   Task(Job* job, std::vector<int> node_ids, int subtask, int parallelism)
@@ -113,15 +109,12 @@ class Task : public Schedulable {
   std::unique_ptr<SourceFunction> source;
   std::vector<std::unique_ptr<Operator>> ops;  // chain after optional source
   // One SPSC channel per upstream subtask, indexed by channel id; every
-  // producer rings `doorbell` after a push so this task can park when all
-  // channels are empty.
+  // producer's push notifies this task on the pool.
   std::vector<std::unique_ptr<InputChannel>> inputs;
-  Doorbell doorbell;
   int num_inputs = 0;
   std::vector<int> channel_ordinal;
   std::vector<OutputEdge> outputs;
   size_t batch_size = 256;
-  size_t idle_spin_budget = 64;
   // Fault injection (chaos testing): one site label per chain element,
   // "source:<name>" / "op:<name>". Null injector = no faults.
   FaultInjector* injector = nullptr;
@@ -240,17 +233,16 @@ class Task : public Schedulable {
     pending_barrier_.store(id, std::memory_order_release);
   }
 
-  /// Scheduler-mode wiring (main thread, before Start): pushes into any of
-  /// this task's input channels notify it on the pool instead of ringing
-  /// the doorbell, and output backpressure becomes help-out work.
+  /// Scheduler wiring (main thread, before Start): pushes into any of this
+  /// task's input channels, and pops that free a slot this task parked
+  /// on, notify it on the pool.
   void AttachScheduler(WorkStealingPool* pool) {
-    scheduler_mode_ = true;
     notify_waker_.pool = pool;
     notify_waker_.task = this;
     for (auto& in : inputs) in->events.set_waker(&notify_waker_);
   }
 
-  /// True once the task ran its final morsel (scheduler mode only).
+  /// True once the task ran its final morsel.
   bool done() const {
     return phase_.load(std::memory_order_acquire) == kPhaseDone;
   }
@@ -282,37 +274,12 @@ class Task : public Schedulable {
     return s;
   }
 
-  // --- thread body ---------------------------------------------------------
+  // --- morsel body ----------------------------------------------------------
 
-  void Run() {
-    try {
-      if (is_source) {
-        RunSource();
-      } else {
-        RunOperator();
-      }
-    } catch (const StatusError& e) {
-      Fail(e.status());
-    } catch (const std::exception& e) {
-      Fail(Status::Internal("uncaught exception in task '" + task_name +
-                            "': " + e.what()));
-    } catch (...) {
-      Fail(Status::Internal("uncaught non-standard exception in task '" +
-                            task_name + "'"));
-    }
-    if (!task_status_.ok()) {
-      job_->ReportTaskFailure(task_name, task_status_);
-      AbortAndDrain();
-    }
-  }
-
-  // --- morsel body (scheduler mode) ---------------------------------------
-
-  /// One bounded morsel, the scheduler-mode unit of execution. The pool
-  /// serializes Step calls per task (run-once claiming with
-  /// acquire/release handover), so everything the thread body above
-  /// touches stays effectively single-threaded even though successive
-  /// morsels may run on different workers.
+  /// One bounded morsel, the unit of execution. The pool serializes Step
+  /// calls per task (run-once claiming with acquire/release handover), so
+  /// all task state stays effectively single-threaded even though
+  /// successive morsels may run on different workers.
   bool Step() override {
     debug_steps_.fetch_add(1, std::memory_order_relaxed);
     const uint8_t phase = phase_.load(std::memory_order_relaxed);
@@ -343,8 +310,8 @@ class Task : public Schedulable {
       Fail(Status::Internal("uncaught non-standard exception in task '" +
                             task_name + "'"));
     }
-    // Morselized mirror of Run()'s failure epilogue: report once, then
-    // spread the abort-drain over subsequent morsels.
+    // Failure epilogue: report once, then spread the abort-drain over
+    // subsequent morsels.
     job_->ReportTaskFailure(task_name, task_status_);
     BeginAbort();
     return StepAbort();
@@ -537,56 +504,10 @@ class Task : public Schedulable {
     Task* task_;
   };
 
-  void RunSource() {
-    SourceTaskContext ctx(this);
-    Status st = source->Run(&ctx);
-    // Fail() keeps the first error: a fault recorded mid-Emit wins over
-    // whatever the source returned in response to the rejected Emit.
-    if (!st.ok()) Fail(std::move(st));
-    if (!task_status_.ok()) return;  // Run() takes the abort path
-    FlushSourceBatch();
-    if (!task_status_.ok()) return;  // flush may fail a chained operator
-    // A checkpoint triggered while the source was finishing must still
-    // complete.
-    MaybeHandleSourceBarrier();
-    DeliverWatermark(kMaxTimestamp);
-    FinishChain();
-  }
-
-  void RunOperator() {
-    // Round-robin over the input channels; a channel is skipped while it is
-    // closed or already aligned for the in-flight barrier (its producer
-    // simply backs up -- that IS the alignment, no stashing needed, because
-    // each producer owns exactly one channel into this task). After a full
-    // pass with no progress the thread spins briefly, then parks on the
-    // doorbell until some producer pushes.
-    size_t idle_spins = 0;
-    while (open_channels_ > 0 && task_status_.ok()) {
-      size_t drained = 0;
-      for (size_t c = 0; c < inputs.size(); ++c) {
-        drained += DrainChannel(c, kDrainBudgetPerVisit);
-      }
-      if (drained > 0) {
-        idle_spins = 0;
-        continue;
-      }
-      if (idle_spins < idle_spin_budget) {
-        ++idle_spins;
-        std::this_thread::yield();
-        continue;
-      }
-      idle_spins = 0;
-      doorbell.Park([this] { return AnyInputReady(); });
-    }
-    if (!task_status_.ok()) return;  // Run() takes the abort path
-    if (task_wm_ < kMaxTimestamp) DeliverWatermark(kMaxTimestamp);
-    FinishChain();
-  }
-
   /// Source morsel: service any pending barrier, then up to
   /// kPollsPerMorsel polls (each at most one batch of records). An
   /// idle source goes quiet (the job's 1 ms source timer re-notifies it);
-  /// an exhausted or cancelled source runs RunSource()'s epilogue.
+  /// an exhausted or cancelled source runs FinishSource.
   bool StepSource() {
     MaybeHandleSourceBarrier();
     if (!task_status_.ok()) return true;
@@ -598,7 +519,8 @@ class Task : public Schedulable {
     for (int i = 0; i < kPollsPerMorsel; ++i) {
       Result<SourcePoll> polled = source->Poll(&ctx);
       if (!polled.ok()) {
-        // Fail() keeps the first error, exactly like RunSource.
+        // Fail() keeps the first error: a fault recorded mid-Emit wins
+        // over whatever the source returned for the rejected Emit.
         Fail(polled.status());
         return true;
       }
@@ -607,11 +529,7 @@ class Task : public Schedulable {
         case SourcePoll::kHasMore:
           break;
         case SourcePoll::kIdle:
-          // Same contract as the thread-mode idle loop (HandleIdle): flush
-          // staged output and service barriers before going quiet.
-          FlushSourceBatch();
-          FlushAllBuffers();
-          MaybeHandleSourceBarrier();
+          ctx.HandleIdle();
           return !task_status_.ok() || overflow_pending_;
         case SourcePoll::kExhausted:
           return FinishSource();
@@ -626,9 +544,10 @@ class Task : public Schedulable {
     return true;
   }
 
-  /// Exhaustion/cancellation epilogue, exactly RunSource()'s tail. Returns
-  /// false after marking the task done; true on failure (the Step wrapper
-  /// takes the abort path).
+  /// Exhaustion/cancellation epilogue: flush, service a checkpoint
+  /// triggered while the source was finishing, then end the stream.
+  /// Returns false after marking the task done; true on failure (the Step
+  /// wrapper takes the abort path).
   bool FinishSource() {
     FlushSourceBatch();
     if (!task_status_.ok()) return true;
@@ -652,7 +571,11 @@ class Task : public Schedulable {
 
   /// Operator morsel: drain a bounded number of events round-robin across
   /// the input channels, then either requeue (work left), go idle (every
-  /// producer's next push notifies us), or finish (all inputs closed).
+  /// producer's next push notifies us), or finish (all inputs closed). A
+  /// channel is skipped while it is closed or already aligned for the
+  /// in-flight barrier: its producer simply backs up -- that IS the
+  /// alignment, no stashing needed, because each producer owns exactly
+  /// one channel into this task.
   bool StepOperator() {
     constexpr size_t kPassesPerMorsel = 8;
     for (size_t pass = 0; pass < kPassesPerMorsel && open_channels_ > 0 &&
@@ -714,7 +637,7 @@ class Task : public Schedulable {
                     "close of '" + op->Name() + "' failed: " + st.message()));
       }
     }
-    if (!task_status_.ok()) return;  // Run() takes the abort path
+    if (!task_status_.ok()) return;  // Step takes the abort path
     Broadcast(StreamEvent::EndOfStream());
   }
 
@@ -1027,10 +950,9 @@ class Task : public Schedulable {
 
   /// Crash-like teardown after a failure, first half: drop buffered
   /// (uncommitted) output and push end-of-stream so downstream tasks
-  /// terminate. The drain that follows (StepAbort morsels, or the blocking
-  /// loop in AbortAndDrain for thread-per-task mode) is what unblocks
-  /// upstream tasks backed up on a full ring; without it a failed consumer
-  /// would deadlock its producers.
+  /// terminate. The drain that follows (StepAbort morsels) is what
+  /// unblocks upstream tasks backed up on a full ring; without it a failed
+  /// consumer would deadlock its producers.
   void BeginAbort() {
     source_batch_.clear();  // uncommitted, dropped like buffered output
     for (OutputEdge& edge : outputs) {
@@ -1062,35 +984,6 @@ class Task : public Schedulable {
     }
     if (open_channels_ == 0) return FinishMorsel();
     return drained > 0;
-  }
-
-  void AbortAndDrain() {
-    BeginAbort();
-    size_t idle_spins = 0;
-    StreamEvent ev;
-    while (open_channels_ > 0) {
-      size_t drained = 0;
-      for (size_t c = 0; c < inputs.size(); ++c) {
-        while (channel_open_[c] && inputs[c]->events.TryPop(&ev)) {
-          if (ev.kind == StreamEvent::Kind::kEndOfStream) {
-            channel_open_[c] = false;
-            --open_channels_;
-          }
-          ++drained;
-        }
-      }
-      if (drained > 0) {
-        idle_spins = 0;
-        continue;
-      }
-      if (idle_spins < idle_spin_budget) {
-        ++idle_spins;
-        std::this_thread::yield();
-        continue;
-      }
-      idle_spins = 0;
-      doorbell.Park([this] { return AnyInputReady(); });
-    }
   }
 
   void RouteRecord(Record&& record) {
@@ -1256,13 +1149,12 @@ class Task : public Schedulable {
     if (target.buffer.size() >= batch_size) FlushTarget(&target);
   }
 
-  /// Ships one event into a downstream channel. Thread-per-task mode
-  /// blocks inside Push (the producer owns a whole thread). A scheduler
-  /// task must never block a worker -- and must not run other tasks from
-  /// inside a push either: "helping" suspends this task mid-Step while it
-  /// still holds its run-once claim, and any helped task that then blocks
-  /// on a channel only this suspended task can drain deadlocks the whole
-  /// stack (suspended claims put cycles in the wait graph even though the
+  /// Ships one event into a downstream channel. A task must never block a
+  /// worker -- and must not run other tasks from inside a push either:
+  /// "helping" suspends this task mid-Step while it still holds its
+  /// run-once claim, and any helped task that then blocks on a channel
+  /// only this suspended task can drain deadlocks the whole stack
+  /// (suspended claims put cycles in the wait graph even though the
   /// dataflow itself is acyclic). Instead a full ring stashes the event
   /// in the per-target overflow queue and the task stops consuming input:
   /// Step's preamble re-offers the overflow (oldest first, so per-target
@@ -1272,15 +1164,10 @@ class Task : public Schedulable {
   /// tasks deadlock-free.
   void PushEvent(OutputTarget& target, StreamEvent&& event) {
     InputChannel* ch = target.channel;
-    if (!scheduler_mode_) {
-      // analyzer:allow(block-in-morsel): thread-per-task mode owns the thread; blocking push is its backpressure
-      ch->events.Push(std::move(event));
-      return;
-    }
     if (target.overflow.empty() && ch->events.TryPush(std::move(event))) {
       return;
     }
-    if (ch->events.closed()) return;  // dropped, like Push on a closed channel
+    if (ch->events.closed()) return;  // the consumer is gone: drop it
     target.overflow.push_back(std::move(event));
     overflow_pending_ = true;
   }
@@ -1294,7 +1181,7 @@ class Task : public Schedulable {
         std::deque<StreamEvent>& q = target.overflow;
         while (!q.empty()) {
           if (target.channel->events.closed()) {
-            q.clear();  // dropped, like Push on a closed channel
+            q.clear();  // the consumer is gone: drop it
             break;
           }
           if (!target.channel->events.TryPush(std::move(q.front()))) break;
@@ -1377,8 +1264,8 @@ class Task : public Schedulable {
   int open_channels_ = 0;
   Timestamp task_wm_ = kMinTimestamp;
   // First failure of this task (user-code error Status, injected fault, or
-  // caught exception). Task thread only; reported to the Job once, at the
-  // end of Run().
+  // caught exception). Task-serialized; reported to the Job once, by the
+  // morsel that hit it.
   Status task_status_;
   bool aligning_ = false;
   uint64_t barrier_id_ = 0;
@@ -1388,8 +1275,8 @@ class Task : public Schedulable {
   uint64_t chain_parent_cp_ = 0;
   std::atomic<uint64_t> pending_barrier_{0};
 
-  // Scheduler-mode push notifications: marks this task runnable on the
-  // pool. Wake() is called by producers from arbitrary workers.
+  // Push and pop notifications: marks this task runnable on the pool.
+  // Wake() is called by producers and consumers from arbitrary workers.
   class NotifyWaker : public Waker {
    public:
     void Wake() override { pool->Notify(task); }
@@ -1397,7 +1284,7 @@ class Task : public Schedulable {
     Schedulable* task = nullptr;
   };
 
-  // Morsel-mode lifecycle: kPhaseRunning covers the normal body, a failure
+  // Lifecycle: kPhaseRunning covers the normal body, a failure
   // switches to kPhaseAborting (EOS sent, draining inputs), kPhaseDone
   // tasks refuse further morsels. Atomic only because the idle-source
   // timer reads done() from the timer thread; transitions happen on the
@@ -1408,7 +1295,6 @@ class Task : public Schedulable {
   std::atomic<uint8_t> phase_{kPhaseRunning};
   // Total Step() invocations; stall-dump diagnostics only.
   std::atomic<uint64_t> debug_steps_{0};
-  bool scheduler_mode_ = false;
   // True while any OutputTarget::overflow is non-empty; the task's morsel
   // loop stops consuming input until FlushOverflow drains everything
   // (task-serialized, like all non-atomic task state).
@@ -1507,7 +1393,6 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
         task->ops.push_back(graph.node(members[i]).op_factory());
       }
       task->batch_size = std::max<size_t>(options.batch_size, 1);
-      task->idle_spin_budget = options.idle_spin_budget;
       task->injector = options.fault_injector.get();
       task->sites.push_back(
           (head_node.is_source ? "source:" : "op:") + head_node.name);
@@ -1544,7 +1429,7 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
         // Dedicated SPSC channel: upstream subtask s is its only producer,
         // downstream task t its only consumer.
         down->inputs.push_back(std::make_unique<internal::InputChannel>(
-            options.channel_capacity, &down->doorbell));
+            options.channel_capacity));
       }
     }
     for (size_t s = 0; s < up_tasks.size(); ++s) {
@@ -1599,20 +1484,17 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
     job->coordinator_ = std::make_unique<CheckpointCoordinator>(
         job->snapshot_store_.get(), static_cast<int>(job->tasks_.size()),
         job->snapshot_store_->MaxCheckpointId() + 1);
-    const bool scheduled =
-        options.execution_mode == JobOptions::ExecutionMode::kScheduler;
     Job* j = job.get();
     for (auto& task : job->tasks_) {
       if (task->is_source) {
         internal::Task* t = task.get();
-        job->coordinator_->RegisterSourceTrigger(
-            [t, j, scheduled](uint64_t id) {
-              t->RequestBarrier(id);
-              // Scheduler mode: an idle source won't poll on its own, so
-              // nudge it -- barrier latency becomes one morsel instead of
-              // waiting for the 1 ms re-poll timer.
-              if (scheduled && j->started_.load()) j->pool_->Notify(t);
-            });
+        job->coordinator_->RegisterSourceTrigger([t, j](uint64_t id) {
+          t->RequestBarrier(id);
+          // An idle source won't poll on its own, so nudge it -- barrier
+          // latency becomes one morsel instead of waiting for the 1 ms
+          // re-poll timer.
+          if (j->started_.load()) j->pool_->Notify(t);
+        });
       }
     }
   }
@@ -1634,22 +1516,11 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
     }
   }
 
-  // 7) The scheduler. In thread-per-task mode the pool is timer-only: no
-  // workers, but the checkpoint cadence still runs on its timer thread.
-  {
-    WorkStealingPool::Options popts;
-    if (options.execution_mode == JobOptions::ExecutionMode::kScheduler) {
-      popts.num_workers = options.worker_threads;  // 0 = hardware
-    } else {
-      popts.timer_only = true;
-    }
-    job->pool_ = std::make_unique<WorkStealingPool>(std::move(popts));
-    if (options.execution_mode == JobOptions::ExecutionMode::kScheduler) {
-      for (auto& task : job->tasks_) {
-        task->AttachScheduler(job->pool_.get());
-      }
-    }
-  }
+  // 7) The scheduler.
+  WorkStealingPool::Options popts;
+  popts.num_workers = options.worker_threads;  // 0 = hardware
+  job->pool_ = std::make_unique<WorkStealingPool>(std::move(popts));
+  for (auto& task : job->tasks_) task->AttachScheduler(job->pool_.get());
   return job;
 }
 
@@ -1658,32 +1529,25 @@ Status Job::Start() {
     return Status::FailedPrecondition("job already started");
   }
   start_time_ = std::chrono::steady_clock::now();
-  if (options_.execution_mode == JobOptions::ExecutionMode::kScheduler) {
-    {
-      MutexLock lock(&done_mu_);
-      live_tasks_ = tasks_.size();
-    }
-    // Every task gets an initial morsel; operator tasks find their
-    // channels empty and go idle until a producer pushes.
-    for (auto& task : tasks_) {
-      pool_->Notify(task.get());
-    }
-    // Idle sources are re-polled on a timer: external input (logs, gates)
-    // can arrive without any channel push to notify them, pending
-    // checkpoint barriers must be serviced while no records flow, and
-    // cancellation must reach a quiet source.
-    source_poll_timer_id_ = pool_->ScheduleRepeating(1, [this] {
-      if (finished_.load()) return;
-      for (auto& task : tasks_) {
-        if (task->is_source && !task->done()) pool_->Notify(task.get());
-      }
-    });
-  } else {
-    threads_.reserve(tasks_.size());
-    for (auto& task : tasks_) {
-      threads_.emplace_back([t = task.get()] { t->Run(); });
-    }
+  {
+    MutexLock lock(&done_mu_);
+    live_tasks_ = tasks_.size();
   }
+  // Every task gets an initial morsel; operator tasks find their channels
+  // empty and go idle until a producer pushes.
+  for (auto& task : tasks_) {
+    pool_->Notify(task.get());
+  }
+  // Idle sources are re-polled on a timer: external input (logs, gates)
+  // can arrive without any channel push to notify them, pending checkpoint
+  // barriers must be serviced while no records flow, and cancellation
+  // must reach a quiet source.
+  source_poll_timer_id_ = pool_->ScheduleRepeating(1, [this] {
+    if (finished_.load()) return;
+    for (auto& task : tasks_) {
+      if (task->is_source && !task->done()) pool_->Notify(task.get());
+    }
+  });
   if (options_.checkpoint_interval_ms > 0) {
     last_cp_time_ = start_time_;
     checkpoint_timer_id_ = pool_->ScheduleRepeating(
@@ -1718,23 +1582,23 @@ Status Job::AwaitCompletion() {
   if (!started_.load()) {
     return Status::FailedPrecondition("job not started");
   }
-  if (options_.execution_mode == JobOptions::ExecutionMode::kScheduler) {
-    // Optional stall diagnostics: with STREAMLINE_STALL_DUMP_SECS=N set,
-    // a job whose live-task count stops moving for N seconds dumps every
-    // task's scheduling state to stderr (and keeps dumping every N
-    // seconds). Reads are racy -- this is a debugging aid, not a metric.
-    int64_t dump_secs = 0;
-    // Nothing in the engine calls setenv, so this lone read cannot race.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    if (const char* env = std::getenv("STREAMLINE_STALL_DUMP_SECS")) {
-      dump_secs = std::atoll(env);
-    }
+  // Optional stall diagnostics: with STREAMLINE_STALL_DUMP_SECS=N set,
+  // a job whose live-task count stops moving for N seconds dumps every
+  // task's scheduling state to stderr (and keeps dumping every N
+  // seconds). Reads are racy -- this is a debugging aid, not a metric.
+  int64_t dump_secs = 0;
+  // Nothing in the engine calls setenv, so this lone read cannot race.
+  // NOLINTNEXTLINE(concurrency-mt-unsafe)
+  if (const char* env = std::getenv("STREAMLINE_STALL_DUMP_SECS")) {
+    dump_secs = std::atoll(env);
+  }
+  {
     MutexLock lock(&done_mu_);
     size_t last_seen = live_tasks_;
     auto last_change = std::chrono::steady_clock::now();
     while (live_tasks_ > 0) {
-      // Timed backstop, same philosophy as Doorbell: a (theoretical) lost
-      // wakeup costs one period, not a hang.
+      // Timed backstop: a (theoretical) lost wakeup costs one period, not a
+      // hang.
       done_cv_.WaitFor(&done_mu_, std::chrono::milliseconds(10));
       if (dump_secs <= 0) continue;
       const auto now = std::chrono::steady_clock::now();
@@ -1767,11 +1631,6 @@ Status Job::AwaitCompletion() {
         std::fputs(dump.c_str(), stderr);
       }
     }
-  } else {
-    // lint:allow(raw-thread): joining thread-per-task mode's task threads
-    for (std::thread& t : threads_) {
-      if (t.joinable()) t.join();
-    }
   }
   finished_.store(true);
   if (checkpoint_timer_id_ != 0) {
@@ -1790,7 +1649,6 @@ Status Job::AwaitCompletion() {
 }
 
 void Job::ExportSchedulerMetrics() {
-  if (pool_ == nullptr || pool_->num_workers() == 0) return;
   const SchedulerCounters& c = pool_->counters();
   auto set = [this](const std::string& name, double v) {
     metrics_.GetGauge("scheduler." + name)->Set(v);
@@ -1800,7 +1658,6 @@ void Job::ExportSchedulerMetrics() {
   set("morsels_local", static_cast<double>(c.morsels_local.load(rel)));
   set("morsels_stolen", static_cast<double>(c.morsels_stolen.load(rel)));
   set("morsels_injected", static_cast<double>(c.morsels_injected.load(rel)));
-  set("morsels_inline", static_cast<double>(c.morsels_inline.load(rel)));
   set("steals", static_cast<double>(c.steals.load(rel)));
   set("parks", static_cast<double>(c.parks.load(rel)));
   set("wakeups", static_cast<double>(c.wakeups.load(rel)));

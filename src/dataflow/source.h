@@ -1,11 +1,9 @@
 #ifndef STREAMLINE_DATAFLOW_SOURCE_H_
 #define STREAMLINE_DATAFLOW_SOURCE_H_
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,7 +14,7 @@
 
 namespace streamline {
 
-/// Handed to SourceFunction::Run; the source pushes records and watermarks
+/// Handed to SourceFunction::Poll; the source pushes records and watermarks
 /// through it. Emit() doubles as the cancellation and checkpoint point: the
 /// runtime injects pending checkpoint barriers between two emissions, which
 /// is what makes source offsets consistent with downstream state.
@@ -71,9 +69,9 @@ class SourceContext {
   /// later have ts >= wm.
   virtual void EmitWatermark(Timestamp wm) = 0;
 
-  /// Sources that wait for external input (empty queue/log/socket) must
-  /// call this periodically from their idle loop: it lets the runtime
-  /// inject pending checkpoint barriers even though no records flow.
+  /// The engine calls this whenever Poll returns kIdle: it flushes staged
+  /// output and injects pending checkpoint barriers even though no records
+  /// flow. Sources need not call it.
   virtual void HandleIdle() = 0;
 
   virtual bool IsCancelled() const = 0;
@@ -95,10 +93,8 @@ enum class SourcePoll {
 /// A data source, written as a step function: each Poll() emits a bounded
 /// amount of data -- at most about one batch -- and returns, keeping all
 /// read position in member state (which is also what the checkpoint hooks
-/// serialize). The engine drives Poll differently per execution mode: the
-/// morsel scheduler runs a bounded number of polls per morsel (so a morsel
-/// carries up to a few batches) and re-schedules, while thread-per-task
-/// mode loops Poll on a dedicated thread via Run(). The
+/// serialize). The morsel scheduler runs a bounded number of polls per
+/// morsel (so a morsel carries up to a few batches) and re-schedules. The
 /// engine makes no other distinction between batch and streaming; an
 /// unbounded source simply never returns kExhausted.
 class SourceFunction {
@@ -108,28 +104,6 @@ class SourceFunction {
   /// Emits at most about one batch. When an Emit/EmitSpan/EmitBatch call
   /// returns false (cancellation), stop emitting and return kExhausted.
   virtual Result<SourcePoll> Poll(SourceContext* ctx) = 0;
-
-  /// Drives Poll() to exhaustion or cancellation on the calling thread
-  /// (thread-per-task mode). Non-virtual: sources implement Poll only.
-  Status Run(SourceContext* ctx) {
-    for (;;) {
-      if (ctx->IsCancelled()) return Status::Ok();
-      Result<SourcePoll> polled = Poll(ctx);
-      if (!polled.ok()) return polled.status();
-      switch (*polled) {
-        case SourcePoll::kHasMore:
-          break;
-        case SourcePoll::kIdle:
-          // HandleIdle lets the runtime inject pending checkpoint barriers
-          // while no records flow; the sleep bounds the re-poll spin.
-          ctx->HandleIdle();
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          break;
-        case SourcePoll::kExhausted:
-          return Status::Ok();
-      }
-    }
-  }
 
   /// Checkpoint hooks: serialize the read position so a restored job
   /// resumes exactly where the snapshot was taken.

@@ -4,10 +4,11 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/mutex.h"
 
 namespace streamline {
 namespace {
@@ -110,63 +111,60 @@ TEST(SpscRingTest, ThreadedFifoStress) {
   EXPECT_TRUE(ring.Empty());
 }
 
-// --- SpscChannel: the blocking protocol over the ring ----------------------
+// --- SpscChannel: the channel protocol over the ring ----------------------
+
+// Counts wakes as permits; Acquire sleeps until one is available, so a
+// wake that lands before the sleeper gets there is never lost.
+class SemaphoreWaker : public Waker {
+ public:
+  void Wake() override {
+    {
+      MutexLock lock(&mu_);
+      ++permits_;
+    }
+    cv_.NotifyOne();
+  }
+  void Acquire() {
+    MutexLock lock(&mu_);
+    while (permits_ == 0) cv_.Wait(&mu_);
+    --permits_;
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  int permits_ STREAMLINE_GUARDED_BY(mu_) = 0;
+};
 
 TEST(SpscChannelTest, PushPopFifo) {
   SpscChannel<int> ch(4);
-  EXPECT_TRUE(ch.Push(1));
-  EXPECT_TRUE(ch.Push(2));
-  EXPECT_EQ(ch.Pop().value(), 1);
-  EXPECT_EQ(ch.Pop().value(), 2);
+  EXPECT_TRUE(ch.TryPush(1));
+  EXPECT_TRUE(ch.TryPush(2));
+  int v = 0;
+  ASSERT_TRUE(ch.TryPop(&v));
+  EXPECT_EQ(v, 1);
+  ASSERT_TRUE(ch.TryPop(&v));
+  EXPECT_EQ(v, 2);
+  EXPECT_FALSE(ch.TryPop(&v));
 }
 
 TEST(SpscChannelTest, CloseDrainsThenEnds) {
   SpscChannel<int> ch(4);
-  ch.Push(1);
-  ch.Push(2);
+  ASSERT_TRUE(ch.TryPush(1));
+  ASSERT_TRUE(ch.TryPush(2));
   ch.Close();
-  EXPECT_FALSE(ch.Push(3));  // rejected after close
-  EXPECT_EQ(ch.Pop().value(), 1);
-  EXPECT_EQ(ch.Pop().value(), 2);
-  EXPECT_FALSE(ch.Pop().has_value());  // drained -> end of channel
+  EXPECT_FALSE(ch.TryPush(3));  // rejected after close
+  int v = 0;
+  ASSERT_TRUE(ch.TryPop(&v));
+  EXPECT_EQ(v, 1);
+  ASSERT_TRUE(ch.TryPop(&v));
+  EXPECT_EQ(v, 2);
+  EXPECT_FALSE(ch.TryPop(&v));  // drained -> end of channel
+  EXPECT_TRUE(ch.closed());
 }
 
-TEST(SpscChannelTest, BlockedProducerWakesOnPop) {
-  SpscChannel<int> ch(2);
-  ASSERT_TRUE(ch.Push(1));
-  ASSERT_TRUE(ch.Push(2));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ch.Push(3);  // blocks: channel is full
-    pushed.store(true);
-  });
-  // The producer must be blocked until the consumer makes room.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(ch.Pop().value(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(ch.Pop().value(), 2);
-  EXPECT_EQ(ch.Pop().value(), 3);
-}
-
-TEST(SpscChannelTest, BlockedProducerWakesOnClose) {
-  SpscChannel<int> ch(1);
-  ASSERT_TRUE(ch.Push(1));
-  std::atomic<bool> returned{false};
-  std::thread producer([&] {
-    EXPECT_FALSE(ch.Push(2));  // blocks, then rejected by close
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(returned.load());
-  ch.Close();
-  producer.join();
-  EXPECT_TRUE(returned.load());
-}
-
-// Scheduler-mode backpressure: a producer that must not block arms a
-// one-shot wakeup; the next pop (or close) fires it exactly once.
+// Backpressure: a producer that must not block arms a one-shot wakeup;
+// the next pop (or close) fires it exactly once.
 class CountingWaker : public Waker {
  public:
   void Wake() override { wakes.fetch_add(1); }
@@ -209,23 +207,7 @@ TEST(SpscChannelTest, ArmedProducerWokenOnceByClose) {
 TEST(SpscChannelTest, ParkUntilPopNeverLosesAWakeup) {
   constexpr int kItems = 200'000;
   SpscChannel<int> ch(2);
-  struct SemaphoreWaker : public Waker {
-    void Wake() override {
-      {
-        MutexLock lock(&mu);
-        ++permits;
-      }
-      cv.NotifyOne();
-    }
-    void Acquire() {
-      MutexLock lock(&mu);
-      while (permits == 0) cv.Wait(&mu);
-      --permits;
-    }
-    Mutex mu;
-    CondVar cv;
-    int permits = 0;
-  } waker;
+  SemaphoreWaker waker;
   std::thread producer([&] {
     for (int i = 0; i < kItems; ++i) {
       int item = i;
@@ -253,50 +235,55 @@ TEST(SpscChannelTest, ParkUntilPopNeverLosesAWakeup) {
   EXPECT_EQ(expected, kItems);
 }
 
-TEST(SpscChannelTest, ConsumerParksOnDoorbellUntilPush) {
-  Doorbell bell;
-  SpscChannel<int> ch(4, &bell);
-  std::optional<int> got;
-  std::thread consumer([&] { got = ch.Pop(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ch.Push(42);
-  consumer.join();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 42);
-}
-
 TEST(SpscChannelTest, ThreadedTransferDeliversEverythingOnce) {
   constexpr int kItems = 100'000;
-  Doorbell bell;
-  SpscChannel<int> ch(32, &bell);
+  SpscChannel<int> ch(32);
   std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(ch.Push(int{i}));
+    for (int i = 0; i < kItems; ++i) {
+      int item = i;
+      while (!ch.TryPush(std::move(item))) std::this_thread::yield();
+    }
     ch.Close();
   });
   int expected = 0;
-  while (auto v = ch.Pop()) {
-    ASSERT_EQ(*v, expected);
-    ++expected;
+  int v = 0;
+  for (;;) {
+    if (ch.TryPop(&v)) {
+      ASSERT_EQ(v, expected);
+      ++expected;
+    } else if (ch.closed()) {
+      // Closed: one more pop covers an element pushed between the failed
+      // pop and the close check.
+      if (!ch.TryPop(&v)) break;
+      ASSERT_EQ(v, expected);
+      ++expected;
+    } else {
+      std::this_thread::yield();
+    }
   }
   producer.join();
   EXPECT_EQ(expected, kItems);
 }
 
 // One consumer multiplexing several producer channels through a shared
-// doorbell -- the executor's input topology.
-TEST(SpscChannelTest, MultiplexedChannelsOneDoorbell) {
+// waker -- the executor's input topology.
+TEST(SpscChannelTest, MultiplexedChannelsOneConsumer) {
   constexpr int kProducers = 4;
   constexpr int kItemsEach = 20'000;
-  Doorbell bell;
+  SemaphoreWaker consumer;
   std::vector<std::unique_ptr<SpscChannel<int>>> channels;
   for (int p = 0; p < kProducers; ++p) {
-    channels.push_back(std::make_unique<SpscChannel<int>>(16, &bell));
+    channels.push_back(std::make_unique<SpscChannel<int>>(16));
+    channels.back()->set_waker(&consumer);
   }
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kItemsEach; ++i) {
-        ASSERT_TRUE(channels[p]->Push(int{p}));
+        int item = p;
+        while (!channels[p]->TryPush(std::move(item))) {
+          std::this_thread::yield();
+        }
       }
       channels[p]->Close();
     });
@@ -321,16 +308,9 @@ TEST(SpscChannelTest, MultiplexedChannelsOneDoorbell) {
         progress = true;
       }
     }
-    if (!progress) {
-      bell.Park([&] {
-        for (int p = 0; p < kProducers; ++p) {
-          if (live[p] && (!channels[p]->Empty() || channels[p]->closed())) {
-            return true;
-          }
-        }
-        return false;
-      });
-    }
+    // Every push and close wakes the consumer, so sleeping until the next
+    // wake after an empty sweep never strands an element.
+    if (!progress) consumer.Acquire();
   }
   for (std::thread& t : producers) t.join();
   for (int p = 0; p < kProducers; ++p) EXPECT_EQ(counts[p], kItemsEach);

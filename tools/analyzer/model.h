@@ -87,7 +87,7 @@ struct LockAcquire {
 
 /// Why a primitive is interesting to a check.
 enum class PrimKind {
-  kBlocking,        // CondVar::Wait, sleep, fsync, Doorbell::Park, ...
+  kBlocking,        // CondVar::Wait, sleep, fsync, ...
   kNondeterminism,  // system_clock::now, rand(), random_device, ...
 };
 

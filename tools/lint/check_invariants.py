@@ -27,10 +27,10 @@ performance or correctness story depends on:
   raw-thread
       Every OS thread in the engine is accounted for: workers and the
       timer belong to WorkStealingPool (src/common/thread_pool.cc), and
-      thread-per-task mode's dedicated threads carry an explicit waiver.
-      Constructing std::thread anywhere else reintroduces unaccounted
-      thread-per-X execution, which is exactly what the morsel scheduler
-      exists to prevent.
+      the network edge's dedicated event-loop thread carries an explicit
+      waiver. Constructing std::thread anywhere else reintroduces
+      unaccounted thread-per-X execution, which is exactly what the
+      morsel scheduler exists to prevent.
 
   raw-socket
       Socket creation is confined to src/net/: the network edge wraps
