@@ -14,7 +14,6 @@
 
 #include "agg/slice_store.h"
 #include "common/flat_hash_map.h"
-#include "common/queue.h"
 #include "common/random.h"
 #include "common/serde.h"
 #include "common/spsc_ring.h"
@@ -153,21 +152,8 @@ void BM_RecordSerde(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordSerde);
 
-void BM_BoundedQueuePingPong(benchmark::State& state) {
-  BoundedQueue<int> q(1024);
-  size_t n = 0;
-  for (auto _ : state) {
-    q.Push(1);
-    benchmark::DoNotOptimize(q.Pop());
-    ++n;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_BoundedQueuePingPong);
-
 // Single-thread ping-pong on the lock-free ring: the floor for one
-// push+pop pair with no contention. Compare against
-// BM_BoundedQueuePingPong (mutex + condvar).
+// push+pop pair with no contention.
 void BM_SpscRingPingPong(benchmark::State& state) {
   SpscRing<int> ring(1024);
   int out = 0;
@@ -182,28 +168,9 @@ void BM_SpscRingPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscRingPingPong);
 
-// Cross-thread throughput, mutex MPMC queue vs lock-free SPSC channel: the
-// timed loop pushes against a live consumer thread, so items/sec reflects
-// the full producer-side handoff cost (synchronization + backpressure).
-void BM_BoundedQueueThroughput(benchmark::State& state) {
-  BoundedQueue<int> q(1024);
-  std::atomic<uint64_t> consumed{0};
-  std::thread consumer([&] {
-    while (q.Pop().has_value()) {
-      consumed.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  size_t n = 0;
-  for (auto _ : state) {
-    q.Push(1);
-    ++n;
-  }
-  q.Close();
-  consumer.join();
-  state.SetItemsProcessed(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_BoundedQueueThroughput)->UseRealTime();
-
+// Cross-thread throughput of the lock-free SPSC channel: the timed loop
+// pushes against a live consumer thread, so items/sec reflects the full
+// producer-side handoff cost (synchronization + backpressure).
 void BM_SpscChannelThroughput(benchmark::State& state) {
   SpscChannel<int> ch(1024);
   std::atomic<uint64_t> consumed{0};

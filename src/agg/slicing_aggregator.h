@@ -30,8 +30,9 @@ namespace streamline {
 /// detach (DetachQuery) while the stream is running. Attach fast-forwards
 /// the window function past the attach point and backfills from live slices
 /// where the new query's begin grid coincides with existing cut points, so
-/// the first results can cover pre-attach data; detach frees its slot and
-/// immediately garbage-collects slices no remaining query references.
+/// the first results can cover pre-attach data; detach frees its slot (the
+/// next attach reuses it) and immediately garbage-collects slices no
+/// remaining query references.
 ///
 /// Scheduling: periodic window functions publish their next boundary
 /// (NextWakeup / NextWatermarkWakeup); the slicer keeps them in lazy
@@ -81,7 +82,8 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   /// periodic windows whose begin grid lines up with existing cut points,
   /// the attach backfills: the first fired windows extend back over intact
   /// pre-attach slices and are byte-identical to a from-start query.
-  /// Returns the slot id (stable; reported to result callbacks).
+  /// Returns the slot id (reported to result callbacks; the lowest
+  /// detached slot is reused).
   size_t AttachQuery(std::unique_ptr<WindowFunction> wf, ResultCallback cb) {
     last_attach_backfilled_ = false;
     last_attach_backfill_slices_ = 0;
@@ -95,9 +97,8 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   }
 
   /// Unregisters the query in `slot` and immediately evicts every slice no
-  /// remaining query needs. The slot stays allocated (ids are never reused,
-  /// so snapshots taken before and after stay layout-compatible); only its
-  /// window function and callback are released. Returns the number of
+  /// remaining query needs. The slot is released for the next attach; a
+  /// snapshot records it as detached until then. Returns the number of
   /// slices freed by the eviction.
   size_t DetachQuery(size_t slot) {
     STREAMLINE_CHECK(slot < queries_.size() &&
@@ -418,10 +419,16 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   }
 
   size_t AddSlot(std::unique_ptr<WindowFunction> wf, ResultCallback cb) {
-    const size_t slot = queries_.size();
-    queries_.push_back(QueryState{std::move(wf), std::move(cb)});
+    size_t slot = 0;
+    while (slot < queries_.size() && queries_[slot].wf != nullptr) ++slot;
+    const bool reused = slot < queries_.size();
+    if (reused) {
+      queries_[slot] = QueryState{std::move(wf), std::move(cb)};
+    } else {
+      queries_.push_back(QueryState{std::move(wf), std::move(cb)});
+    }
     ++active_queries_;
-    if (sched_valid_) ScheduleNewSlot(slot);
+    if (sched_valid_) ScheduleSlot(slot, reused);
     return slot;
   }
 
@@ -491,14 +498,19 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     wakeup_threshold_ = ElemHeapMin();
   }
 
-  void ScheduleNewSlot(size_t slot) {
-    q_elem_wakeup_.push_back(kMaxTimestamp);
-    q_wm_wakeup_.push_back(kMaxTimestamp);
+  // A reused slot's wakeups were reset to kMaxTimestamp at detach; heap
+  // entries left from its previous query die against the new wakeups (or
+  // cause one harmless early poll).
+  void ScheduleSlot(size_t slot, bool reused) {
+    if (!reused) {
+      q_elem_wakeup_.push_back(kMaxTimestamp);
+      q_wm_wakeup_.push_back(kMaxTimestamp);
+    }
     if (options_.disable_wakeup_fastpath) {
       q_elem_wakeup_[slot] = kMinTimestamp;
-      always_poll_queries_.push_back(slot);  // slot ids ascend; stays sorted
+      SortedInsert(&always_poll_queries_, slot);
       q_wm_wakeup_[slot] = kMinTimestamp;
-      always_wm_queries_.push_back(slot);
+      SortedInsert(&always_wm_queries_, slot);
       return;
     }
     ArmQuery(slot, /*force_needed=*/true);

@@ -34,9 +34,10 @@ struct QueryDescriptor {
 
 /// Where an attached query's state lives inside the window operator.
 enum class QueryPlacement : uint8_t {
-  /// A new slot in the shared slicing aggregator: the query rides the
-  /// shared slice store (Cutty sharing) and, when its begin grid factors
-  /// through an already-registered query's cut grid, adds zero new cuts.
+  /// A slot of the window operator's shared slice grid: the query rides
+  /// the slices every shared query cuts (Cutty sharing) and, when its
+  /// begin grid factors through an already-registered query's cut grid,
+  /// adds zero new cuts.
   kShared = 0,
   /// Dedicated per-key open-window partials (eager). Chosen when the cost
   /// model predicts the query would fragment the shared store (pathological
@@ -64,10 +65,22 @@ struct QueryCommand {
 /// Data path: `WindowAggSpec::registry` points the WindowAgg operator at a
 /// registry; each subtask drains the command log at watermark boundaries
 /// (so command application sits at a deterministic point of the event-time
-/// order) and acks the sequence number it reached. Attach splices a new
-/// query into the existing shared slice state -- backfilling from live
-/// slices where the begin grids line up -- and detach unregisters the query
-/// and garbage-collects the slices only it pinned.
+/// order) and acks the sequence number it reached. The operator must use
+/// the shared backend with periodic (tumbling or sliding) spec windows --
+/// its one slice grid and query table serve every registry query -- and
+/// its Open rejects a registry otherwise.
+///
+/// Attach semantics, per key of the operator: a key that already exists
+/// serves the query's windows that begin after the key's last record, plus
+/// a backfill: the query's begin grid is walked down from that record
+/// while each grid point is an intact cut of the key (its open slice's
+/// start, or a stored slice start that no pending window has released),
+/// and every window beginning at a walked point is served too. Each served
+/// window is byte-identical to the same window of a from-start query. A key
+/// created after the attach is served from its first record. Standalone
+/// queries serve every window beginning at or after the attach watermark.
+/// Detach removes the query; the slices only it kept alive are
+/// garbage-collected.
 ///
 /// Placement is cost-based, decided once per attach (see ChoosePlacement):
 /// sharing the slicer costs one partial update per record *total* plus
@@ -95,10 +108,11 @@ class QueryRegistry {
   explicit QueryRegistry(Options options) : options_(options) {}
 
   /// Attaches a sliding-window aggregate query to every operator consuming
-  /// this registry. Returns the query id tagged into its result records
-  /// (field 3). The attach is asynchronous: it is live once every worker
-  /// drained the command (WaitQueryApplied). `handler`, if given, receives
-  /// this query's results from a QueryDemuxSink.
+  /// this registry (which windows each key serves: see the class comment).
+  /// Returns the query id tagged into its result records (field 3). The
+  /// attach is asynchronous: it is live once every worker drained the
+  /// command (WaitQueryApplied). `handler`, if given, receives this query's
+  /// results from a QueryDemuxSink.
   uint64_t AttachSliding(Duration range, Duration slide, Timestamp origin = 0,
                          ResultHandler handler = nullptr);
   uint64_t AttachTumbling(Duration size, Timestamp origin = 0,
@@ -159,8 +173,8 @@ class QueryRegistry {
   std::vector<QueryCommand> CommandsAfter(uint64_t after_seq) const;
 
   /// Worker `worker` has applied the log prefix up to `seq` and now holds
-  /// `shared_slices` slices across its shared stores; `slices_freed` were
-  /// garbage-collected by detaches since its previous ack. Overwrites (not
+  /// `shared_slices` stored slice partials across its keys; `slices_freed`
+  /// were released by detaches since its previous ack. Overwrites (not
   /// maxes) the worker's ack so a checkpoint-restore rollback is honestly
   /// reflected until the worker re-applies the tail.
   void AckApplied(const std::string& worker, uint64_t seq,

@@ -1,6 +1,8 @@
 #include "dataflow/window_operator.h"
 
 #include <algorithm>
+#include <limits>
+#include <tuple>
 
 #include "common/logging.h"
 
@@ -15,11 +17,25 @@ Result<DynPartial> DeserializeDynPartial(BinaryReader* r) {
   return DynAggregate::DeserializePartial(r);
 }
 
+template <typename T>
+Status ReadTo(Result<T> read, T* out) {
+  if (!read.ok()) return read.status();
+  *out = std::move(*read);
+  return Status::Ok();
+}
+
 Timestamp FloorToGrid(Timestamp ts, Timestamp origin, Duration step) {
   const Timestamp d = ts - origin;
   const Timestamp q = d >= 0 ? d / step : (d - step + 1) / step;
   return origin + q * step;
 }
+
+Timestamp CeilToGrid(Timestamp ts, Timestamp origin, Duration step) {
+  const Timestamp f = FloorToGrid(ts, origin, step);
+  return f == ts ? ts : f + step;
+}
+
+constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
 
 }  // namespace
 
@@ -29,6 +45,33 @@ WindowAggOperator::WindowAggOperator(std::string name, WindowAggSpec spec)
       adapter_(spec_.agg_kind) {
   STREAMLINE_CHECK(!spec_.windows.empty())
       << "WindowAggSpec needs at least one window definition";
+  if (spec_.backend == WindowBackend::kEager) {
+    mode_ = Mode::kEager;
+    return;
+  }
+  // The grid path needs every window's begins and ends to be a function of
+  // time alone; one data-driven window sends the whole spec per key.
+  const bool periodic = std::all_of(
+      spec_.windows.begin(), spec_.windows.end(), [](const auto& proto) {
+        return dynamic_cast<const SlidingWindowFn*>(proto.get()) != nullptr;
+      });
+  if (!periodic) {
+    mode_ = Mode::kPerKey;
+    return;
+  }
+  mode_ = Mode::kGrid;
+  for (size_t i = 0; i < spec_.windows.size(); ++i) {
+    const auto* w =
+        dynamic_cast<const SlidingWindowFn*>(spec_.windows[i].get());
+    GridQuery q;
+    q.active = true;
+    q.id = i;
+    q.range = w->range();
+    q.slide = w->slide();
+    q.origin = w->origin();
+    queries_.push_back(std::move(q));
+  }
+  RefreshQueryIndex();
 }
 
 WindowAggOperator::~WindowAggOperator() {
@@ -38,7 +81,7 @@ WindowAggOperator::~WindowAggOperator() {
 }
 
 Status WindowAggOperator::Open(const OperatorContext& ctx) {
-  subtask_index_ = ctx.subtask_index;
+  worker_name_ = name_ + ":" + std::to_string(ctx.subtask_index);
   if (ctx.metrics != nullptr) {
     const std::string prefix = "op." + name_ + "." +
                                std::to_string(ctx.subtask_index) + ".state.";
@@ -47,16 +90,16 @@ Status WindowAggOperator::Open(const OperatorContext& ctx) {
     keys_gauge_ = ctx.metrics->GetGauge(prefix + "keys");
   }
   if (spec_.registry != nullptr) {
-    if (spec_.backend != WindowBackend::kShared) {
+    if (mode_ != Mode::kGrid) {
       return Status::InvalidArgument(
-          "standing-query registry requires the shared window backend");
+          "standing-query registry requires the shared window backend and "
+          "periodic (tumbling or sliding) spec windows");
     }
-    spec_.registry->RegisterWorker(name_ + ":" +
-                                   std::to_string(ctx.subtask_index));
+    spec_.registry->RegisterWorker(worker_name_);
     bound_metrics_ = ctx.metrics;
     spec_.registry->BindMetrics(ctx.metrics);
   }
-  if (spec_.backend == WindowBackend::kEager) {
+  if (mode_ == Mode::kEager) {
     // Eager per-window state supports periodic windows only (matching the
     // systems it models); verify the prototypes up front.
     for (const auto& proto : spec_.windows) {
@@ -70,40 +113,50 @@ Status WindowAggOperator::Open(const OperatorContext& ctx) {
   return Status::Ok();
 }
 
-WindowAggOperator::KeyState* WindowAggOperator::GetOrCreateKey(
-    const Value& key, uint64_t hash) {
+WindowAggOperator::KeyEntry* WindowAggOperator::GetOrCreateKey(
+    const Value& key, uint64_t hash, bool* created) {
   auto [entry, inserted] = keys_.TryEmplace(hash, key);
+  if (created != nullptr) *created = inserted;
+  if (!inserted) return entry;
   KeyState* ks = &entry->second;
-  if (!inserted) return ks;
-  if (spec_.backend == WindowBackend::kShared) {
-    ks->shared = std::make_unique<SharedAgg>(adapter_);
-    for (size_t q = 0; q < spec_.windows.size(); ++q) {
-      // The callback captures the key by value; `current_out_` points at
-      // the collector of the call currently on the stack.
-      Value key_copy = key;
-      ks->shared->AddQuery(
-          spec_.windows[q]->Clone(),
-          [this, key_copy](size_t query, const Window& w, const Value& v) {
-            EmitResult(key_copy, query, w, v);
-          });
-    }
-    InitDynStateForKey(key, ks);
-  } else {
-    for (const auto& proto : spec_.windows) {
-      EagerQueryState qs;
-      qs.wf = proto->Clone();
-      const auto* sliding = dynamic_cast<const SlidingWindowFn*>(qs.wf.get());
-      STREAMLINE_CHECK(sliding != nullptr);
-      qs.range = sliding->range();
-      qs.slide = sliding->slide();
-      qs.origin = sliding->origin();
-      ks->eager.push_back(std::move(qs));
-    }
+  ks->hash = hash;
+  switch (mode_) {
+    case Mode::kGrid:
+      // Registry queries attached before the key existed serve it from
+      // its first record.
+      ks->epoch = applied_seq_;
+      break;
+    case Mode::kPerKey:
+      ks->shared = std::make_unique<SharedAgg>(adapter_);
+      for (const auto& proto : spec_.windows) {
+        // The callback captures the key by value; `current_out_` points at
+        // the collector of the call currently on the stack.
+        Value key_copy = key;
+        ks->shared->AddQuery(
+            proto->Clone(),
+            [this, key_copy](size_t query, const Window& w, const Value& v) {
+              EmitResult(key_copy, query, w, v);
+            });
+      }
+      break;
+    case Mode::kEager:
+      for (const auto& proto : spec_.windows) {
+        EagerQueryState qs;
+        qs.wf = proto->Clone();
+        const auto* sliding =
+            dynamic_cast<const SlidingWindowFn*>(qs.wf.get());
+        STREAMLINE_CHECK(sliding != nullptr);
+        qs.range = sliding->range();
+        qs.slide = sliding->slide();
+        qs.origin = sliding->origin();
+        ks->eager.push_back(std::move(qs));
+      }
+      break;
   }
-  return ks;
+  return entry;
 }
 
-void WindowAggOperator::EmitResult(const Value& key, size_t query,
+void WindowAggOperator::EmitResult(const Value& key, uint64_t query,
                                    const Window& w, const Value& result) {
   STREAMLINE_CHECK(current_out_ != nullptr);
   Record out;
@@ -111,6 +164,21 @@ void WindowAggOperator::EmitResult(const Value& key, size_t query,
   out.fields = {key, Value(w.start), Value(w.end),
                 Value(static_cast<int64_t>(query)), result};
   current_out_->Emit(std::move(out));
+}
+
+void WindowAggOperator::ResolveKey(const Record& record, Value* key,
+                                   uint64_t* hash) {
+  if (spec_.key) {
+    *key = spec_.key(record);
+    // Hash-once: the upstream hash shuffle already stamped the key hash on
+    // the record; only records injected outside a hash edge (tests,
+    // restore) pay a hash here.
+    *hash = record.has_key_hash() ? record.key_hash : KeyHashOf(*key);
+  } else {
+    *key = Value(int64_t{0});
+    if (global_key_hash_ == 0) global_key_hash_ = KeyHashOf(*key);
+    *hash = global_key_hash_;
+  }
 }
 
 void WindowAggOperator::ProcessRecord(int, Record&& record, Collector* out) {
@@ -144,117 +212,6 @@ void WindowAggOperator::ProcessBatch(int, std::vector<Record>&& batch,
   batch.clear();
 }
 
-void WindowAggOperator::ApplyElement(const Value& key, KeyState* ks,
-                                     const Record& record) {
-  (void)key;
-  if (spec_.backend == WindowBackend::kShared) {
-    DynAggAdapter::Input in{record.field(spec_.value_field),
-                            record.timestamp};
-    const Value payload = spec_.payload ? spec_.payload(record) : Value();
-    ks->shared->OnElement(record.timestamp, in, payload);
-    if (active_standalone_ > 0) FoldStandalone(key, ks, record);
-    return;
-  }
-  // Eager: fold the record into every open window of every query.
-  const DynPartial lifted =
-      adapter_.dyn.Lift(record.field(spec_.value_field), record.timestamp);
-  for (EagerQueryState& qs : ks->eager) {
-    const Timestamp ts = record.timestamp;
-    Timestamp b = qs.origin +
-                  ((ts - qs.origin) >= 0
-                       ? (ts - qs.origin) / qs.slide
-                       : ((ts - qs.origin) - qs.slide + 1) / qs.slide) *
-                      qs.slide;
-    for (; b > ts - qs.range; b -= qs.slide) {
-      if (b > ts) continue;
-      const Window w{b, b + qs.range};
-      auto it = std::lower_bound(
-          qs.open.begin(), qs.open.end(), w,
-          [](const auto& e, const Window& win) { return e.first < win; });
-      if (it == qs.open.end() || it->first != w) {
-        it = qs.open.insert(it, {w, adapter_.Identity()});
-      }
-      it->second = adapter_.Combine(it->second, lifted);
-    }
-  }
-}
-
-void WindowAggOperator::EagerFire(const Value& key, KeyState* ks,
-                                  Timestamp wm) {
-  for (size_t q = 0; q < ks->eager.size(); ++q) {
-    EagerQueryState& qs = ks->eager[q];
-    // Sorted by (end, start): the fired windows are a prefix.
-    size_t fired = 0;
-    while (fired < qs.open.size() && qs.open[fired].first.end <= wm) {
-      EmitResult(key, q, qs.open[fired].first,
-                 adapter_.Lower(qs.open[fired].second));
-      ++fired;
-    }
-    qs.open.erase(qs.open.begin(), qs.open.begin() + fired);
-  }
-}
-
-void WindowAggOperator::AdvanceKeyWatermark(const Value& key, KeyState* ks,
-                                            Timestamp wm) {
-  if (spec_.backend == WindowBackend::kShared) {
-    ks->shared->OnWatermark(wm);
-    FireStandalone(key, ks, wm);
-  } else {
-    EagerFire(key, ks, wm);
-  }
-}
-
-void WindowAggOperator::FoldStandalone(const Value& key, KeyState* ks,
-                                       const Record& record) {
-  (void)key;
-  const DynPartial lifted =
-      adapter_.dyn.Lift(record.field(spec_.value_field), record.timestamp);
-  size_t sidx = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.placement != QueryPlacement::kStandalone) continue;
-    StandaloneState& ss = ks->standalone[sidx++];
-    if (!dq.active) continue;
-    const Timestamp ts = record.timestamp;
-    Timestamp b = FloorToGrid(ts, dq.desc.origin, dq.desc.slide);
-    for (; b > ts - dq.desc.range; b -= dq.desc.slide) {
-      // Windows that began before the attach point would be missing the
-      // records applied before the query existed; serve only complete ones.
-      if (b > ts || b < dq.attach_wm) continue;
-      const Window w{b, b + dq.desc.range};
-      auto it = std::lower_bound(
-          ss.open.begin(), ss.open.end(), w,
-          [](const auto& e, const Window& win) { return e.first < win; });
-      if (it == ss.open.end() || it->first != w) {
-        it = ss.open.insert(it, {w, adapter_.Identity()});
-      }
-      it->second = adapter_.Combine(it->second, lifted);
-    }
-  }
-}
-
-void WindowAggOperator::FireStandalone(const Value& key, KeyState* ks,
-                                       Timestamp wm) {
-  if (ks->standalone.empty()) return;
-  size_t sidx = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.placement != QueryPlacement::kStandalone) continue;
-    StandaloneState& ss = ks->standalone[sidx++];
-    // Sorted by (end, start): the fired windows are a prefix. Detached
-    // entries have no open windows (cleared at detach).
-    size_t fired = 0;
-    while (fired < ss.open.size() && ss.open[fired].first.end <= wm) {
-      EmitResult(key, static_cast<size_t>(dq.id), ss.open[fired].first,
-                 adapter_.Lower(ss.open[fired].second));
-      ++fired;
-    }
-    if (fired > 0) {
-      ks->standalone_fires += fired;
-      ss.open.erase(ss.open.begin(),
-                    ss.open.begin() + static_cast<ptrdiff_t>(fired));
-    }
-  }
-}
-
 void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
   current_out_ = out;
   // Hold the operator's event-time clock back by the allowed lateness:
@@ -265,6 +222,7 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
     if (wm <= current_wm_) return;
   }
   current_wm_ = std::max(current_wm_, wm);
+  if (!derived_valid_) RebuildDerived();
   // Pop exactly the records this watermark covers, in (ts, arrival) order;
   // they can no longer be preceded by anything. Records still ahead of the
   // watermark never move -- the common stall (one slow input channel
@@ -277,34 +235,44 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
     apply_scratch_.push_back(std::move(pending_.back()));
     pending_.pop_back();
   }
-  const auto in_bound = [&](size_t i) { return i < apply_scratch_.size(); };
-  const auto resolve_key = [&](const Record& record, Value* key,
-                               uint64_t* hash) {
-    if (spec_.key) {
-      *key = spec_.key(record);
-      // Hash-once: the upstream hash shuffle already stamped the key hash on
-      // the record; only records injected outside a hash edge (tests,
-      // restore) pay a hash here.
-      *hash = record.has_key_hash() ? record.key_hash : KeyHashOf(*key);
-    } else {
-      *key = Value(int64_t{0});
-      if (global_key_hash_ == 0) global_key_hash_ = KeyHashOf(*key);
-      *hash = global_key_hash_;
+  if (mode_ == Mode::kGrid) {
+    for (const PendingEntry& p : apply_scratch_) ApplyGridRecord(p.first);
+    apply_scratch_.clear();
+    // Only keys with a window ending at or before wm are visited.
+    FireDueKeys(wm);
+  } else {
+    ApplyPerKeyRecords();
+    // Advance every key's window clock: sessions and periodic windows fire
+    // on time progress even for keys with no new records.
+    for (auto& [key, ks] : keys_) {
+      if (AdvanceKeyWatermark(key, &ks, wm)) changelog_.Upsert(key, ks.hash);
     }
-  };
+  }
+  // Attach/detach commands apply here -- the end of a watermark is a
+  // deterministic point of the event-time order, so every subtask (and any
+  // checkpoint replay) splices queries in at the same place.
+  DrainRegistryCommands();
+  UpdateStateGauges();
+  current_out_ = nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// Per-key and eager paths.
+
+void WindowAggOperator::ApplyPerKeyRecords() {
   // Only contiguous same-key runs go through the aggregator's batch entry
   // point, so element order within and across keys is exactly the
   // per-element order (byte-identical output). Payload-carrying specs stay
   // per-element: the batch API carries no payloads.
-  const bool can_batch = spec_.backend == WindowBackend::kShared &&
-                         !spec_.payload && active_standalone_ == 0;
+  const bool can_batch = mode_ == Mode::kPerKey && !spec_.payload;
+  const size_t n_records = apply_scratch_.size();
   size_t applied = 0;
-  while (in_bound(applied)) {
+  while (applied < n_records) {
     const Record& record = apply_scratch_[applied].first;
     Value key;
     uint64_t hash;
-    resolve_key(record, &key, &hash);
-    KeyState* ks = GetOrCreateKey(key, hash);
+    ResolveKey(record, &key, &hash);
+    KeyState* ks = &GetOrCreateKey(key, hash, nullptr)->second;
     changelog_.Upsert(key, hash);
     if (!can_batch) {
       ApplyElement(key, ks, record);
@@ -314,12 +282,11 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
     // Extend the contiguous run of records with this key (for the global
     // key that is every in-bound record).
     size_t j = applied + 1;
-    while (in_bound(j)) {
+    while (j < n_records) {
       if (spec_.key) {
-        const Record& next = apply_scratch_[j].first;
         Value next_key;
         uint64_t next_hash;
-        resolve_key(next, &next_key, &next_hash);
+        ResolveKey(apply_scratch_[j].first, &next_key, &next_hash);
         if (next_hash != hash || !(next_key == key)) break;
       }
       ++j;
@@ -343,28 +310,520 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
     applied = j;
   }
   apply_scratch_.clear();
-  // Advance every key's window clock: sessions and periodic windows fire on
-  // time progress even for keys with no new records. When the changelog is
-  // on, a fingerprint comparison catches keys the watermark mutated (fired
-  // windows, evicted slices) so the next delta re-serializes them.
-  for (auto& [key, ks] : keys_) {
-    if (!changelog_.enabled()) {
-      AdvanceKeyWatermark(key, &ks, wm);
-      continue;
-    }
-    const std::array<uint64_t, 4> before = KeyFingerprint(ks);
-    AdvanceKeyWatermark(key, &ks, wm);
-    if (KeyFingerprint(ks) != before) {
-      changelog_.Upsert(key, KeyHashOf(key));
+}
+
+void WindowAggOperator::ApplyElement(const Value& key, KeyState* ks,
+                                     const Record& record) {
+  (void)key;
+  if (mode_ == Mode::kPerKey) {
+    DynAggAdapter::Input in{record.field(spec_.value_field),
+                            record.timestamp};
+    const Value payload = spec_.payload ? spec_.payload(record) : Value();
+    ks->shared->OnElement(record.timestamp, in, payload);
+    return;
+  }
+  // Eager: fold the record into every open window of every query.
+  const DynPartial lifted =
+      adapter_.dyn.Lift(record.field(spec_.value_field), record.timestamp);
+  for (EagerQueryState& qs : ks->eager) {
+    const Timestamp ts = record.timestamp;
+    for (Timestamp b = FloorToGrid(ts, qs.origin, qs.slide);
+         b > ts - qs.range; b -= qs.slide) {
+      const Window w{b, b + qs.range};
+      auto it = std::lower_bound(
+          qs.open.begin(), qs.open.end(), w,
+          [](const auto& e, const Window& win) { return e.first < win; });
+      if (it == qs.open.end() || it->first != w) {
+        it = qs.open.insert(it, {w, adapter_.Identity()});
+      }
+      it->second = adapter_.Combine(it->second, lifted);
     }
   }
-  // Attach/detach commands apply here -- the end of a watermark is a
-  // deterministic point of the event-time order, so every subtask (and any
-  // checkpoint replay) splices queries in at the same place.
-  DrainRegistryCommands();
-  UpdateStateGauges();
-  current_out_ = nullptr;
 }
+
+bool WindowAggOperator::EagerFire(const Value& key, KeyState* ks,
+                                  Timestamp wm) {
+  bool mutated = false;
+  for (size_t q = 0; q < ks->eager.size(); ++q) {
+    EagerQueryState& qs = ks->eager[q];
+    // Sorted by (end, start): the fired windows are a prefix.
+    size_t fired = 0;
+    while (fired < qs.open.size() && qs.open[fired].first.end <= wm) {
+      EmitResult(key, q, qs.open[fired].first,
+                 adapter_.Lower(qs.open[fired].second));
+      ++fired;
+    }
+    qs.open.erase(qs.open.begin(), qs.open.begin() + fired);
+    mutated = mutated || fired > 0;
+  }
+  return mutated;
+}
+
+bool WindowAggOperator::AdvanceKeyWatermark(const Value& key, KeyState* ks,
+                                            Timestamp wm) {
+  if (mode_ == Mode::kEager) return EagerFire(key, ks, wm);
+  // Any firing bumps `fires`; slice churn moves slices_created or the
+  // store size; every other OnWatermark-reachable mutation is gated on one
+  // of those.
+  const uint64_t fires = ks->shared->stats().fires;
+  const uint64_t created = ks->shared->stats().slices_created;
+  const size_t stored = ks->shared->stored_slices();
+  ks->shared->OnWatermark(wm);
+  return ks->shared->stats().fires != fires ||
+         ks->shared->stats().slices_created != created ||
+         ks->shared->stored_slices() != stored;
+}
+
+// ---------------------------------------------------------------------------
+// Grid path.
+//
+// Semantics are those of a per-key SlicingAggregator holding the spec
+// windows from the key's first record and each registry query from the
+// attach on (AttachQuery: windows beginning after the key's last record,
+// backfilled over intact cuts). What the per-key aggregator keeps per key
+// per query is derived here from the key's last record, its slice list,
+// the operator watermark and the query table:
+//  * A key's slice for record x starts at LiveCut(x) if that lies after
+//    the key's previous record, else x joins the key's open slice -- the
+//    per-key aggregator declares a begin only when a record falls in its
+//    window, so this reproduces its cuts exactly.
+//  * The key's pending windows all contain its last record; they fire
+//    when time passes their end, before a later record is folded.
+//  * A stored slice is garbage once it starts before every pending
+//    window's begin (Needed); the open slice is kept.
+
+void WindowAggOperator::RefreshQueryIndex() {
+  shared_slots_.clear();
+  standalone_slots_.clear();
+  attach_epoch_ = 0;
+  for (uint32_t s = 0; s < queries_.size(); ++s) {
+    const GridQuery& q = queries_[s];
+    if (!q.active) continue;
+    if (q.placement == QueryPlacement::kShared) {
+      shared_slots_.push_back(s);
+      attach_epoch_ = std::max(attach_epoch_, q.seq);
+    } else {
+      standalone_slots_.push_back(s);
+    }
+  }
+  cut_valid_ = false;
+}
+
+Timestamp WindowAggOperator::LiveCut(Timestamp x) {
+  if (cut_valid_ && x >= cut_lo_ && x < cut_hi_) return cut_;
+  Timestamp cut = kMinTimestamp;
+  Timestamp hi = kMaxTimestamp;
+  for (uint32_t s : shared_slots_) {
+    const GridQuery& q = queries_[s];
+    const Timestamp g = FloorToGrid(x, q.origin, q.slide);
+    Timestamp change = g + q.slide;
+    if (x - g < q.range) {
+      cut = std::max(cut, g);
+      change = std::min(change, g + q.range);
+    }
+    hi = std::min(hi, change);
+  }
+  cut_valid_ = true;
+  cut_lo_ = x;
+  cut_hi_ = hi;
+  cut_ = cut;
+  return cut;
+}
+
+void WindowAggOperator::ApplyGridRecord(const Record& record) {
+  Value key;
+  uint64_t hash;
+  ResolveKey(record, &key, &hash);
+  bool created = false;
+  KeyEntry* e = GetOrCreateKey(key, hash, &created);
+  const uint32_t kid = static_cast<uint32_t>(e - keys_.begin());
+  KeyState& ks = e->second;
+  changelog_.Upsert(key, hash);
+  const Timestamp x = record.timestamp;
+  bool rearm = created;
+  if (!created) {
+    // Windows ending at or before x exclude it: fire them first.
+    if (x >= ks.timer && NextFire(*e) <= x) {
+      FireKey(e, x);
+      rearm = true;
+    }
+    if (ks.epoch < attach_epoch_) CatchUp(e, nullptr);
+  }
+  ks.fired_to = std::max(ks.fired_to, x);
+  const DynPartial lifted =
+      adapter_.dyn.Lift(record.field(spec_.value_field), x);
+  const Timestamp cut = LiveCut(x);
+  if (ks.slices.empty() || (cut != kMinTimestamp && cut > ks.last_ts)) {
+    // No live cut at all: an implicit slice starting at the record keeps
+    // it until eviction decides otherwise.
+    const Timestamp start = cut != kMinTimestamp ? cut : x;
+    if (!ks.slices.empty()) ++stored_slices_;
+    ks.slices.push_back(SlicePartial{start, lifted});
+    ++grid_stats_.slices_created;
+    rearm = true;
+  } else {
+    ks.slices.back().partial =
+        adapter_.Combine(ks.slices.back().partial, lifted);
+  }
+  ++grid_stats_.elements;
+  ++grid_stats_.partial_updates;
+  for (uint32_t s : standalone_slots_) {
+    const GridQuery& q = queries_[s];
+    // Windows that began before the attach point would be missing the
+    // records applied before the query existed; serve only complete ones.
+    for (Timestamp b = FloorToGrid(x, q.origin, q.slide);
+         b > x - q.range && b >= q.attach_wm; b -= q.slide) {
+      const StandaloneWindow probe{s, q.seq, Window{b, b + q.range}, {}};
+      const auto order = [](const StandaloneWindow& a,
+                            const StandaloneWindow& c) {
+        return std::tie(a.window.end, a.window.start, a.slot, a.seq) <
+               std::tie(c.window.end, c.window.start, c.slot, c.seq);
+      };
+      auto it = std::lower_bound(ks.standalone.begin(), ks.standalone.end(),
+                                 probe, order);
+      if (it == ks.standalone.end() || order(probe, *it)) {
+        it = ks.standalone.insert(it, probe);
+        rearm = true;
+      }
+      it->partial = adapter_.Combine(it->partial, lifted);
+    }
+  }
+  ks.last_ts = x;
+  if (!ks.late.empty()) PruneLate(&ks);
+  if (rearm) Arm(kid, e);
+  grid_stats_.peak_stored =
+      std::max<uint64_t>(grid_stats_.peak_stored, stored_slices_);
+}
+
+Timestamp WindowAggOperator::ServedFrom(const KeyEntry& e, size_t slot,
+                                        bool* fresh) const {
+  *fresh = false;
+  const GridQuery& q = queries_[slot];
+  const KeyState& ks = e.second;
+  if (q.seq == 0) return kMinTimestamp;
+  if (q.seq <= ks.epoch) {
+    for (const LateServe& l : ks.late) {
+      if (l.slot == slot && l.seq == q.seq) return l.from;
+    }
+    return kMinTimestamp;  // from the key's first record, or expired
+  }
+  // Attached since the key's last touch: the key's state is still the one
+  // the attach saw.
+  if (const Timestamp* from = q.backfill.Find(ks.hash, e.first)) {
+    *fresh = true;
+    return *from;
+  }
+  return FloorToGrid(ks.last_ts, q.origin, q.slide) + q.slide;
+}
+
+Timestamp WindowAggOperator::LowestPendingBegin(const KeyEntry& e,
+                                                size_t slot,
+                                                bool fresh_backfill) const {
+  bool fresh = false;
+  const Timestamp from = ServedFrom(e, slot, &fresh);
+  // A backfill not yet taken over: its windows may have ended already.
+  if (fresh || fresh_backfill) return from;
+  const KeyState& ks = e.second;
+  if (ks.fired_to == kMaxTimestamp) return kMaxTimestamp;
+  const GridQuery& q = queries_[slot];
+  // First begin whose window ends after fired_to.
+  return std::max(from, FloorToGrid(ks.fired_to - q.range, q.origin,
+                                    q.slide) + q.slide);
+}
+
+Timestamp WindowAggOperator::NextFire(const KeyEntry& e) const {
+  const KeyState& ks = e.second;
+  Timestamp next = kMaxTimestamp;
+  for (uint32_t s : shared_slots_) {
+    const Timestamp lo = LowestPendingBegin(e, s, false);
+    if (lo == kMaxTimestamp) continue;
+    const GridQuery& q = queries_[s];
+    const Timestamp b = CeilToGrid(lo, q.origin, q.slide);
+    if (b <= ks.last_ts) next = std::min(next, b + q.range);
+  }
+  for (const StandaloneWindow& w : ks.standalone) {
+    const GridQuery& q = queries_[w.slot];
+    if (q.active && q.seq == w.seq) {
+      next = std::min(next, w.window.end);  // sorted by end
+      break;
+    }
+  }
+  return next;
+}
+
+Timestamp WindowAggOperator::Needed(const KeyEntry& e, Timestamp t,
+                                    size_t skip_slot) const {
+  if (t == kMaxTimestamp) return kMaxTimestamp;
+  Timestamp needed = kMaxTimestamp;
+  for (uint32_t s : shared_slots_) {
+    if (s == skip_slot) continue;
+    const GridQuery& q = queries_[s];
+    bool fresh = false;
+    const Timestamp from = ServedFrom(e, s, &fresh);
+    // The oldest window of q the key may fire after t. A backfill attached
+    // in this drain may reach further back, but only over slices the last
+    // watermark kept for other queries, so it never retains more.
+    needed = std::min(
+        needed,
+        std::max(from, FloorToGrid(t - q.range, q.origin, q.slide) + q.slide));
+  }
+  return needed;
+}
+
+void WindowAggOperator::CatchUp(KeyEntry* e,
+                                std::vector<uint32_t>* fresh_slots) {
+  KeyState& ks = e->second;
+  for (uint32_t s : shared_slots_) {
+    GridQuery& q = queries_[s];
+    if (q.seq <= ks.epoch) continue;
+    Timestamp from;
+    if (const Timestamp* b = q.backfill.Find(ks.hash, e->first)) {
+      from = *b;
+      q.backfill.Erase(ks.hash, e->first);
+      if (fresh_slots != nullptr) fresh_slots->push_back(s);
+    } else {
+      from = FloorToGrid(ks.last_ts, q.origin, q.slide) + q.slide;
+    }
+    ks.late.push_back(LateServe{s, q.seq, from});
+  }
+  ks.epoch = applied_seq_;
+}
+
+void WindowAggOperator::PruneLate(KeyState* ks) const {
+  auto dead = [&](const LateServe& l) {
+    if (l.slot >= queries_.size()) return true;
+    const GridQuery& q = queries_[l.slot];
+    if (!q.active || q.seq != l.seq || ks->fired_to == kMaxTimestamp) {
+      return true;
+    }
+    // Every window the key may still fire begins at or after `from`.
+    return l.from <=
+           FloorToGrid(ks->fired_to - q.range, q.origin, q.slide) + q.slide;
+  };
+  ks->late.erase(std::remove_if(ks->late.begin(), ks->late.end(), dead),
+                 ks->late.end());
+}
+
+bool WindowAggOperator::FireKey(KeyEntry* e, Timestamp t) {
+  KeyState& ks = e->second;
+  fresh_slots_.clear();
+  if (ks.epoch < attach_epoch_) CatchUp(e, &fresh_slots_);
+  due_.clear();
+  for (uint32_t s : shared_slots_) {
+    const bool fresh = std::find(fresh_slots_.begin(), fresh_slots_.end(),
+                                 s) != fresh_slots_.end();
+    const Timestamp lo = LowestPendingBegin(*e, s, fresh);
+    if (lo == kMaxTimestamp) continue;
+    const GridQuery& q = queries_[s];
+    for (Timestamp b = CeilToGrid(lo, q.origin, q.slide);
+         b <= ks.last_ts && b + q.range <= t; b += q.slide) {
+      due_.push_back(DueWindow{b + q.range, s, b, kNoSlot});
+    }
+  }
+  // Standalone windows of detached queries go; ended ones fire.
+  ks.standalone.erase(
+      std::remove_if(ks.standalone.begin(), ks.standalone.end(),
+                     [&](const StandaloneWindow& w) {
+                       const GridQuery& q = queries_[w.slot];
+                       return !q.active || q.seq != w.seq;
+                     }),
+      ks.standalone.end());
+  size_t standalone_fired = 0;
+  while (standalone_fired < ks.standalone.size() &&
+         ks.standalone[standalone_fired].window.end <= t) {
+    const StandaloneWindow& w = ks.standalone[standalone_fired];
+    due_.push_back(DueWindow{w.window.end, w.slot, w.window.start,
+                             standalone_fired});
+    ++standalone_fired;
+  }
+  std::sort(due_.begin(), due_.end(), [](const DueWindow& a,
+                                         const DueWindow& b) {
+    return std::tie(a.end, a.slot, a.start) < std::tie(b.end, b.slot, b.start);
+  });
+  for (const DueWindow& d : due_) {
+    if (d.standalone_index != kNoSlot) {
+      const StandaloneWindow& w = ks.standalone[d.standalone_index];
+      EmitResult(e->first, queries_[w.slot].id, w.window,
+                 adapter_.Lower(w.partial));
+      continue;
+    }
+    // The key's slices starting inside the window, oldest first.
+    auto it = std::lower_bound(
+        ks.slices.begin(), ks.slices.end(), d.start,
+        [](const SlicePartial& p, Timestamp v) { return p.start < v; });
+    DynPartial acc = adapter_.Identity();
+    for (; it != ks.slices.end() && it->start < d.end; ++it) {
+      acc = adapter_.Combine(acc, it->partial);
+      ++grid_stats_.combine_ops;
+    }
+    ++grid_stats_.fires;
+    EmitResult(e->first, queries_[d.slot].id, Window{d.start, d.end},
+               adapter_.Lower(acc));
+  }
+  ks.standalone.erase(ks.standalone.begin(),
+                      ks.standalone.begin() +
+                          static_cast<ptrdiff_t>(standalone_fired));
+  ks.fired_to = std::max(ks.fired_to, t);
+  const Timestamp needed = Needed(*e, t, kNoSlot);
+  size_t evict = 0;
+  while (evict + 1 < ks.slices.size() && ks.slices[evict].start < needed) {
+    ++evict;
+  }
+  if (evict > 0) {
+    ks.slices.erase(ks.slices.begin(),
+                    ks.slices.begin() + static_cast<ptrdiff_t>(evict));
+    stored_slices_ -= evict;
+  }
+  PruneLate(&ks);
+  return !due_.empty();
+}
+
+void WindowAggOperator::Arm(uint32_t kid, KeyEntry* e) {
+  KeyState& ks = e->second;
+  const Timestamp next = NextFire(*e);
+  if (next == ks.timer) return;
+  ks.timer = next;
+  if (next == kMaxTimestamp) return;
+  timers_.emplace_back(next, kid);
+  std::push_heap(timers_.begin(), timers_.end(), std::greater<>());
+}
+
+void WindowAggOperator::FireDueKeys(Timestamp wm) {
+  due_keys_.clear();
+  while (!timers_.empty() && timers_.front().first <= wm) {
+    const auto [at, kid] = timers_.front();
+    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>());
+    timers_.pop_back();
+    KeyState& ks = keys_.begin()[kid].second;
+    if (ks.timer != at) continue;  // superseded
+    ks.timer = kMaxTimestamp;
+    due_keys_.push_back(kid);
+  }
+  // Key index order is the map's insertion order, which restore
+  // reproduces: emission order does not depend on heap history.
+  std::sort(due_keys_.begin(), due_keys_.end());
+  for (uint32_t kid : due_keys_) {
+    KeyEntry* e = keys_.begin() + kid;
+    // A detach may have removed the window the timer was set for.
+    if (NextFire(*e) <= wm && FireKey(e, wm)) {
+      changelog_.Upsert(e->first, e->second.hash);
+    }
+    Arm(kid, e);
+  }
+}
+
+void WindowAggOperator::AttachGridQuery(const QueryCommand& cmd) {
+  GridQuery q;
+  q.active = true;
+  q.id = cmd.query_id;
+  q.range = cmd.desc.range;
+  q.slide = cmd.desc.slide;
+  q.origin = cmd.desc.origin;
+  q.placement = cmd.placement;
+  q.seq = cmd.seq;
+  q.attach_wm = current_wm_;
+  if (q.placement == QueryPlacement::kShared) {
+    // Backfill (the per-key aggregator's TryBackfill): walk the query's
+    // begin grid down from the key's last record while each grid point is
+    // an intact cut -- the open slice's start, or a stored slice start no
+    // pending window has released. Keys that backfill are recorded in the
+    // table and timed; every other key's state stays as it is.
+    for (uint32_t kid = 0; kid < keys_.size(); ++kid) {
+      KeyEntry* e = keys_.begin() + kid;
+      KeyState& ks = e->second;
+      if (ks.slices.empty()) continue;
+      const Timestamp last = ks.last_ts;
+      const Timestamp g0 = FloorToGrid(last, q.origin, q.slide);
+      if (g0 <= last - q.range) continue;
+      bool needed_known = false;
+      Timestamp needed = kMaxTimestamp;
+      auto intact = [&](Timestamp b) {
+        if (ks.slices.back().start == b) return true;
+        auto it = std::lower_bound(
+            ks.slices.begin(), ks.slices.end() - 1, b,
+            [](const SlicePartial& p, Timestamp v) { return p.start < v; });
+        if (it == ks.slices.end() - 1 || it->start != b) return false;
+        if (!needed_known) {
+          needed = Needed(*e, current_wm_, kNoSlot);
+          needed_known = true;
+        }
+        return b >= needed;
+      };
+      if (!intact(g0)) continue;
+      Timestamp earliest = g0;
+      for (Timestamp b = g0 - q.slide; b > last - q.range && intact(b);
+           b -= q.slide) {
+        earliest = b;
+      }
+      q.backfill.TryEmplace(ks.hash, e->first, earliest);
+      if (earliest + q.range < ks.timer) {
+        ks.timer = earliest + q.range;
+        timers_.emplace_back(ks.timer, kid);
+        std::push_heap(timers_.begin(), timers_.end(), std::greater<>());
+      }
+    }
+  }
+  // Reuse the lowest free slot: per-key references carry the attach seq,
+  // so a recycled slot never matches a predecessor's leftovers.
+  size_t slot = 0;
+  while (slot < queries_.size() && queries_[slot].active) ++slot;
+  if (slot == queries_.size()) queries_.emplace_back();
+  queries_[slot] = std::move(q);
+  RefreshQueryIndex();
+}
+
+uint64_t WindowAggOperator::DetachGridQuery(uint64_t query_id) {
+  size_t slot = 0;
+  while (slot < queries_.size() &&
+         !(queries_[slot].active && queries_[slot].seq != 0 &&
+           queries_[slot].id == query_id)) {
+    ++slot;
+  }
+  if (slot == queries_.size()) return 0;
+  uint64_t freed = 0;
+  if (queries_[slot].placement == QueryPlacement::kShared) {
+    // Count the stored slices only this query kept alive. They leave
+    // memory at the key's next fire; the key is not rewritten here.
+    for (KeyEntry& e : keys_) {
+      const std::vector<SlicePartial>& slices = e.second.slices;
+      if (slices.size() < 2) continue;
+      const Timestamp with = Needed(e, current_wm_, kNoSlot);
+      const Timestamp without = Needed(e, current_wm_, slot);
+      for (size_t i = 0; i + 1 < slices.size(); ++i) {
+        if (slices[i].start >= with && slices[i].start < without) ++freed;
+      }
+    }
+  }
+  queries_[slot] = GridQuery{};
+  RefreshQueryIndex();
+  return freed;
+}
+
+void WindowAggOperator::RebuildDerived() {
+  RefreshQueryIndex();
+  timers_.clear();
+  stored_slices_ = 0;
+  for (uint32_t kid = 0; kid < keys_.size(); ++kid) {
+    KeyEntry* e = keys_.begin() + kid;
+    e->second.timer = kMaxTimestamp;
+    if (mode_ != Mode::kGrid) continue;
+    const size_t n = e->second.slices.size();
+    if (n > 0) stored_slices_ += n - 1;
+    Arm(kid, e);
+  }
+  derived_valid_ = true;
+}
+
+size_t WindowAggOperator::KeyStateEntries() const {
+  size_t n = 0;
+  for (const auto& [key, ks] : keys_) {
+    n += ks.slices.size() + ks.late.size() + ks.standalone.size();
+  }
+  return n;
+}
+
+// ---------------------------------------------------------------------------
+// Standing-query registry.
 
 void WindowAggOperator::DrainRegistryCommands() {
   QueryRegistry* reg = spec_.registry.get();
@@ -373,113 +832,14 @@ void WindowAggOperator::DrainRegistryCommands() {
   if (reg->latest_seq() != applied_seq_) {
     for (const QueryCommand& cmd : reg->CommandsAfter(applied_seq_)) {
       if (cmd.kind == QueryCommand::Kind::kAttach) {
-        dyn_queries_.push_back(DynQuery{cmd.query_id, cmd.desc,
-                                        cmd.placement, true, current_wm_});
-        ApplyDynAttach(dyn_queries_.back(), &slices_freed);
+        AttachGridQuery(cmd);
       } else {
-        for (size_t i = 0; i < dyn_queries_.size(); ++i) {
-          if (dyn_queries_[i].id == cmd.query_id && dyn_queries_[i].active) {
-            dyn_queries_[i].active = false;
-            ApplyDynDetach(i, &slices_freed);
-            break;
-          }
-        }
+        slices_freed += DetachGridQuery(cmd.query_id);
       }
       applied_seq_ = cmd.seq;
     }
-    // A command changes every key's slot layout (and therefore its
-    // serialized bytes): re-serialize them all in the next delta.
-    if (changelog_.enabled()) {
-      for (auto& [key, ks] : keys_) changelog_.Upsert(key, KeyHashOf(key));
-    }
   }
-  reg->AckApplied(name_ + ":" + std::to_string(subtask_index_), applied_seq_,
-                  TotalStoredSlices(), slices_freed);
-}
-
-void WindowAggOperator::ApplyDynAttach(const DynQuery& dq,
-                                       uint64_t* slices_freed) {
-  (void)slices_freed;
-  const size_t index = dyn_queries_.size() - 1;
-  if (dq.placement == QueryPlacement::kShared) {
-    const size_t slot = SharedSlotOfDyn(index);
-    for (auto& [key, ks] : keys_) {
-      Value key_copy = key;
-      const uint64_t id = dq.id;
-      const size_t got = ks.shared->AttachQuery(
-          std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
-                                            dq.desc.origin),
-          [this, key_copy, id](size_t, const Window& w, const Value& v) {
-            EmitResult(key_copy, id, w, v);
-          });
-      STREAMLINE_CHECK_EQ(got, slot);
-    }
-  } else {
-    for (auto& [key, ks] : keys_) ks.standalone.emplace_back();
-    ++active_standalone_;
-  }
-}
-
-void WindowAggOperator::ApplyDynDetach(size_t index, uint64_t* slices_freed) {
-  const DynQuery& dq = dyn_queries_[index];
-  if (dq.placement == QueryPlacement::kShared) {
-    const size_t slot = SharedSlotOfDyn(index);
-    for (auto& [key, ks] : keys_) {
-      *slices_freed += ks.shared->DetachQuery(slot);
-    }
-  } else {
-    const size_t sidx = StandaloneIndexOfDyn(index);
-    for (auto& [key, ks] : keys_) {
-      ks.standalone[sidx].open.clear();
-      ks.standalone[sidx].open.shrink_to_fit();
-    }
-    --active_standalone_;
-  }
-}
-
-size_t WindowAggOperator::SharedSlotOfDyn(size_t index) const {
-  size_t slot = spec_.windows.size();
-  for (size_t i = 0; i < index; ++i) {
-    if (dyn_queries_[i].placement == QueryPlacement::kShared) ++slot;
-  }
-  return slot;
-}
-
-size_t WindowAggOperator::StandaloneIndexOfDyn(size_t index) const {
-  size_t sidx = 0;
-  for (size_t i = 0; i < index; ++i) {
-    if (dyn_queries_[i].placement == QueryPlacement::kStandalone) ++sidx;
-  }
-  return sidx;
-}
-
-void WindowAggOperator::InitDynStateForKey(const Value& key, KeyState* ks) {
-  // A key created after queries attached runs them from the key's first
-  // element (the key has no earlier history to miss); detached entries
-  // still allocate their slot so the layout matches the table.
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.placement == QueryPlacement::kShared) {
-      Value key_copy = key;
-      const uint64_t id = dq.id;
-      const size_t slot = ks->shared->AddQuery(
-          std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
-                                            dq.desc.origin),
-          [this, key_copy, id](size_t, const Window& w, const Value& v) {
-            EmitResult(key_copy, id, w, v);
-          });
-      if (!dq.active) ks->shared->DetachQuery(slot);
-    } else {
-      ks->standalone.emplace_back();
-    }
-  }
-}
-
-uint64_t WindowAggOperator::TotalStoredSlices() const {
-  uint64_t total = 0;
-  for (const auto& [key, ks] : keys_) {
-    if (ks.shared) total += ks.shared->stored_slices();
-  }
-  return total;
+  reg->AckApplied(worker_name_, applied_seq_, stored_slices_, slices_freed);
 }
 
 void WindowAggOperator::UpdateStateGauges() {
@@ -495,202 +855,209 @@ void WindowAggOperator::OnEndOfInput(Collector* out) {
   (void)out;
 }
 
-void WindowAggOperator::SnapshotKeyState(const KeyState& ks,
-                                         BinaryWriter* w) const {
-  if (spec_.backend == WindowBackend::kShared) {
-    ks.shared->Snapshot(w, SerializeDynPartial);
-    w->WriteU64(ks.standalone.size());
-    w->WriteU64(ks.standalone_fires);
-    for (const StandaloneState& ss : ks.standalone) {
-      w->WriteU64(ss.open.size());
-      for (const auto& [window, partial] : ss.open) {
-        w->WriteI64(window.start);
-        w->WriteI64(window.end);
-        DynAggregate::SerializePartial(partial, w);
-      }
-    }
-    return;
-  }
-  w->WriteU64(ks.eager.size());
-  for (const EagerQueryState& qs : ks.eager) {
-    qs.wf->SnapshotState(w);
-    w->WriteU64(qs.open.size());
-    for (const auto& [window, partial] : qs.open) {
-      w->WriteI64(window.start);
-      w->WriteI64(window.end);
-      DynAggregate::SerializePartial(partial, w);
-    }
-  }
-}
+// ---------------------------------------------------------------------------
+// Snapshots.
 
-Status WindowAggOperator::RestoreKeyState(KeyState* ks, BinaryReader* r) {
-  if (spec_.backend == WindowBackend::kShared) {
-    STREAMLINE_RETURN_IF_ERROR(ks->shared->Restore(r, DeserializeDynPartial));
-    auto ns = r->ReadU64();
-    if (!ns.ok()) return ns.status();
-    if (*ns != ks->standalone.size()) {
-      return Status::FailedPrecondition("standalone query count mismatch");
-    }
-    auto fires = r->ReadU64();
-    if (!fires.ok()) return fires.status();
-    ks->standalone_fires = *fires;
-    for (StandaloneState& ss : ks->standalone) {
-      // A delta may re-restore a key with open windows; full replacement.
-      ss.open.clear();
-      auto nw = r->ReadU64();
-      if (!nw.ok()) return nw.status();
-      for (uint64_t k = 0; k < *nw; ++k) {
-        auto start = r->ReadI64();
-        if (!start.ok()) return start.status();
-        auto end = r->ReadI64();
-        if (!end.ok()) return end.status();
-        auto p = DynAggregate::DeserializePartial(r);
-        if (!p.ok()) return p.status();
-        ss.open.emplace_back(Window{*start, *end}, *p);
-      }
-    }
-    return Status::Ok();
-  }
-  auto nq = r->ReadU64();
-  if (!nq.ok()) return nq.status();
-  if (*nq != ks->eager.size()) {
-    return Status::FailedPrecondition("eager query count mismatch");
-  }
-  for (EagerQueryState& qs : ks->eager) {
-    // A delta may re-restore a key that already has open windows; the
-    // snapshot is a full replacement, not an append.
-    qs.open.clear();
-    STREAMLINE_RETURN_IF_ERROR(qs.wf->RestoreState(r));
-    auto nw = r->ReadU64();
-    if (!nw.ok()) return nw.status();
-    for (uint64_t k = 0; k < *nw; ++k) {
-      auto start = r->ReadI64();
-      if (!start.ok()) return start.status();
-      auto end = r->ReadI64();
-      if (!end.ok()) return end.status();
-      auto p = DynAggregate::DeserializePartial(r);
-      if (!p.ok()) return p.status();
-      // Snapshots write `open` in sorted order; appending preserves it.
-      qs.open.emplace_back(Window{*start, *end}, *p);
-    }
-  }
-  return Status::Ok();
-}
-
-std::array<uint64_t, 4> WindowAggOperator::KeyFingerprint(
-    const KeyState& ks) const {
-  if (spec_.backend == WindowBackend::kShared) {
-    const AggStats& s = ks.shared->stats();
-    uint64_t standalone_open = 0;
-    for (const StandaloneState& ss : ks.standalone) {
-      standalone_open += ss.open.size();
-    }
-    // Standalone fires erase open windows; either count moving means the
-    // watermark mutated this key's standalone state.
-    return {s.fires, s.slices_created,
-            static_cast<uint64_t>(ks.shared->stored_slices()),
-            (ks.standalone_fires << 32) ^ standalone_open};
-  }
-  uint64_t open = 0;
-  for (const EagerQueryState& qs : ks.eager) open += qs.open.size();
-  return {open, 0, 0, 0};
-}
-
-void WindowAggOperator::WriteDynTable(BinaryWriter* w) const {
-  w->WriteU64(applied_seq_);
-  w->WriteU64(dyn_queries_.size());
-  for (const DynQuery& dq : dyn_queries_) {
-    w->WriteU64(dq.id);
-    w->WriteI64(dq.desc.range);
-    w->WriteI64(dq.desc.slide);
-    w->WriteI64(dq.desc.origin);
-    w->WriteU8(static_cast<uint8_t>(dq.placement));
-    w->WriteBool(dq.active);
-    w->WriteI64(dq.attach_wm);
-  }
-}
-
-Status WindowAggOperator::ReadDynTable(BinaryReader* r,
-                                       std::vector<DynQuery>* table,
-                                       uint64_t* applied_seq) const {
-  auto seq = r->ReadU64();
-  if (!seq.ok()) return seq.status();
-  auto n = r->ReadU64();
-  if (!n.ok()) return n.status();
-  table->clear();
-  for (uint64_t i = 0; i < *n; ++i) {
-    DynQuery dq;
-    auto id = r->ReadU64();
-    if (!id.ok()) return id.status();
-    auto range = r->ReadI64();
-    if (!range.ok()) return range.status();
-    auto slide = r->ReadI64();
-    if (!slide.ok()) return slide.status();
-    auto origin = r->ReadI64();
-    if (!origin.ok()) return origin.status();
-    auto placement = r->ReadU8();
-    if (!placement.ok()) return placement.status();
-    auto active = r->ReadBool();
-    if (!active.ok()) return active.status();
-    auto attach_wm = r->ReadI64();
-    if (!attach_wm.ok()) return attach_wm.status();
-    dq.id = *id;
-    dq.desc = QueryDescriptor{*range, *slide, *origin};
-    dq.placement = static_cast<QueryPlacement>(*placement);
-    dq.active = *active;
-    dq.attach_wm = *attach_wm;
-    table->push_back(dq);
-  }
-  *applied_seq = *seq;
-  return Status::Ok();
-}
-
-void WindowAggOperator::ReconcileDynTable(std::vector<DynQuery> table,
-                                          uint64_t applied_seq) {
-  // The table is append-only and `active` only ever flips true -> false, so
-  // the structural diff against the live table is: detach newly inactive
-  // entries, then attach the appended tail. Keys the commands mutated were
-  // all marked dirty in the same epoch, so their exact state follows in
-  // this delta's upserts; the retrofit only has to make the *layout* (slot
-  // counts, standalone vector sizes) match before those restores run.
-  uint64_t ignored_freed = 0;
-  STREAMLINE_CHECK(table.size() >= dyn_queries_.size())
-      << "dyn-query table shrank across a delta";
-  for (size_t i = 0; i < dyn_queries_.size(); ++i) {
-    STREAMLINE_CHECK(table[i].id == dyn_queries_[i].id);
-    if (dyn_queries_[i].active && !table[i].active) {
-      dyn_queries_[i].active = false;
-      ApplyDynDetach(i, &ignored_freed);
-    }
-  }
-  for (size_t i = dyn_queries_.size(); i < table.size(); ++i) {
-    dyn_queries_.push_back(table[i]);
-    ApplyDynAttach(dyn_queries_.back(), &ignored_freed);
-    // Attached and detached between deltas: the slot must exist (layout)
-    // but be detached, or the per-key restore validation rejects it.
-    if (!table[i].active) ApplyDynDetach(i, &ignored_freed);
-  }
-  dyn_queries_ = std::move(table);
-  applied_seq_ = applied_seq;
-  active_standalone_ = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.active && dq.placement == QueryPlacement::kStandalone) {
-      ++active_standalone_;
-    }
-  }
-}
-
-Status WindowAggOperator::SnapshotState(BinaryWriter* w) const {
+void WindowAggOperator::WriteMeta(BinaryWriter* w) const {
   w->WriteI64(current_wm_);
   w->WriteU64(seq_);
-  WriteDynTable(w);
+  w->WriteU64(applied_seq_);
+  w->WriteU64(queries_.size());
+  for (const GridQuery& q : queries_) {
+    w->WriteBool(q.active);
+    if (!q.active) continue;
+    w->WriteU64(q.id);
+    w->WriteI64(q.range);
+    w->WriteI64(q.slide);
+    w->WriteI64(q.origin);
+    w->WriteU8(static_cast<uint8_t>(q.placement));
+    w->WriteU64(q.seq);
+    w->WriteI64(q.attach_wm);
+    w->WriteU64(q.backfill.size());
+    for (const auto& [key, from] : q.backfill) {
+      w->WriteValue(key);
+      w->WriteI64(from);
+    }
+  }
   // Written in heap-array order (deterministic for a given input history);
-  // Restore rebuilds the heap property, which holds for any array order.
+  // restore rebuilds the heap property, which holds for any array order.
   w->WriteU64(pending_.size());
   for (const auto& [record, seq] : pending_) {
     w->WriteRecord(record);
     w->WriteU64(seq);
   }
+}
+
+Status WindowAggOperator::ReadMeta(BinaryReader* r) {
+  Timestamp wm = 0;
+  uint64_t seq = 0;
+  uint64_t applied_seq = 0;
+  uint64_t nq = 0;
+  STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &wm));
+  STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &seq));
+  STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &applied_seq));
+  STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &nq));
+  std::vector<GridQuery> table(nq);
+  for (GridQuery& q : table) {
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadBool(), &q.active));
+    if (!q.active) continue;
+    uint8_t placement = 0;
+    uint64_t nb = 0;
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &q.id));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &q.range));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &q.slide));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &q.origin));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU8(), &placement));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &q.seq));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &q.attach_wm));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &nb));
+    if (q.range <= 0 || q.slide <= 0) {
+      return Status::Internal("bad window shape in '" + name_ + "' snapshot");
+    }
+    q.placement = static_cast<QueryPlacement>(placement);
+    for (uint64_t i = 0; i < nb; ++i) {
+      Value key;
+      Timestamp from = 0;
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadValue(), &key));
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &from));
+      q.backfill.TryEmplace(KeyHashOf(key), key, from);
+    }
+  }
+  uint64_t np = 0;
+  STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &np));
+  pending_.clear();
+  for (uint64_t i = 0; i < np; ++i) {
+    Record rec;
+    uint64_t s = 0;
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadRecord(), &rec));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &s));
+    pending_.emplace_back(std::move(rec), s);
+  }
+  std::make_heap(pending_.begin(), pending_.end(), PendingAfter);
+  if (mode_ == Mode::kGrid ? table.size() < spec_.windows.size()
+                           : !table.empty()) {
+    return Status::FailedPrecondition("query table does not match the spec");
+  }
+  queries_ = std::move(table);
+  current_wm_ = wm;
+  seq_ = seq;
+  applied_seq_ = applied_seq;
+  derived_valid_ = false;
+  return Status::Ok();
+}
+
+void WindowAggOperator::SnapshotKeyState(const KeyState& ks,
+                                         BinaryWriter* w) const {
+  switch (mode_) {
+    case Mode::kGrid:
+      w->WriteI64(ks.last_ts);
+      w->WriteI64(ks.fired_to);
+      w->WriteU64(ks.epoch);
+      w->WriteU64(ks.slices.size());
+      for (const SlicePartial& s : ks.slices) {
+        w->WriteI64(s.start);
+        SerializeDynPartial(s.partial, w);
+      }
+      w->WriteU64(ks.late.size());
+      for (const LateServe& l : ks.late) {
+        w->WriteU64(l.slot);
+        w->WriteU64(l.seq);
+        w->WriteI64(l.from);
+      }
+      w->WriteU64(ks.standalone.size());
+      for (const StandaloneWindow& s : ks.standalone) {
+        w->WriteU64(s.slot);
+        w->WriteU64(s.seq);
+        w->WriteI64(s.window.start);
+        w->WriteI64(s.window.end);
+        SerializeDynPartial(s.partial, w);
+      }
+      return;
+    case Mode::kPerKey:
+      ks.shared->Snapshot(w, SerializeDynPartial);
+      return;
+    case Mode::kEager:
+      w->WriteU64(ks.eager.size());
+      for (const EagerQueryState& qs : ks.eager) {
+        qs.wf->SnapshotState(w);
+        w->WriteU64(qs.open.size());
+        for (const auto& [window, partial] : qs.open) {
+          w->WriteI64(window.start);
+          w->WriteI64(window.end);
+          SerializeDynPartial(partial, w);
+        }
+      }
+      return;
+  }
+}
+
+Status WindowAggOperator::RestoreKeyState(KeyState* ks, BinaryReader* r) {
+  // A delta may re-restore a live key: every path replaces, never appends.
+  if (mode_ == Mode::kPerKey) {
+    return ks->shared->Restore(r, DeserializeDynPartial);
+  }
+  if (mode_ == Mode::kGrid) {
+    uint64_t n = 0;
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &ks->last_ts));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &ks->fired_to));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &ks->epoch));
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &n));
+    ks->slices.resize(n);
+    for (SlicePartial& s : ks->slices) {
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &s.start));
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(DeserializeDynPartial(r), &s.partial));
+    }
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &n));
+    ks->late.resize(n);
+    for (LateServe& l : ks->late) {
+      uint64_t slot = 0;
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &slot));
+      l.slot = static_cast<uint32_t>(slot);
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &l.seq));
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &l.from));
+    }
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &n));
+    ks->standalone.resize(n);
+    for (StandaloneWindow& s : ks->standalone) {
+      uint64_t slot = 0;
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &slot));
+      s.slot = static_cast<uint32_t>(slot);
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &s.seq));
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &s.window.start));
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &s.window.end));
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(DeserializeDynPartial(r), &s.partial));
+      if (s.slot >= queries_.size()) {
+        return Status::FailedPrecondition("standalone window of unknown slot");
+      }
+    }
+    derived_valid_ = false;
+    return Status::Ok();
+  }
+  uint64_t nq = 0;
+  STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &nq));
+  if (nq != ks->eager.size()) {
+    return Status::FailedPrecondition("eager query count mismatch");
+  }
+  for (EagerQueryState& qs : ks->eager) {
+    qs.open.clear();
+    STREAMLINE_RETURN_IF_ERROR(qs.wf->RestoreState(r));
+    uint64_t nw = 0;
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &nw));
+    for (uint64_t k = 0; k < nw; ++k) {
+      Window window;
+      DynPartial p;
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &window.start));
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadI64(), &window.end));
+      STREAMLINE_RETURN_IF_ERROR(ReadTo(DeserializeDynPartial(r), &p));
+      // Snapshots write `open` in sorted order; appending preserves it.
+      qs.open.emplace_back(window, p);
+    }
+  }
+  return Status::Ok();
+}
+
+Status WindowAggOperator::SnapshotState(BinaryWriter* w) const {
+  WriteMeta(w);
   w->WriteU64(keys_.size());
   for (const auto& [key, ks] : keys_) {
     w->WriteValue(key);
@@ -700,66 +1067,31 @@ Status WindowAggOperator::SnapshotState(BinaryWriter* w) const {
 }
 
 Status WindowAggOperator::RestoreState(BinaryReader* r) {
-  auto wm = r->ReadI64();
-  if (!wm.ok()) return wm.status();
-  auto seq = r->ReadU64();
-  if (!seq.ok()) return seq.status();
-  // The dynamic-query table must be in place before any key state is
-  // restored: GetOrCreateKey lays out per-key slots/standalone vectors from
-  // it, and RestoreKeyState validates the layout it reads against that.
-  std::vector<DynQuery> table;
-  uint64_t applied_seq = 0;
-  STREAMLINE_RETURN_IF_ERROR(ReadDynTable(r, &table, &applied_seq));
-  dyn_queries_ = std::move(table);
-  applied_seq_ = applied_seq;
-  active_standalone_ = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.active && dq.placement == QueryPlacement::kStandalone) {
-      ++active_standalone_;
-    }
-  }
-  auto np = r->ReadU64();
-  if (!np.ok()) return np.status();
-  pending_.clear();
-  for (uint64_t i = 0; i < *np; ++i) {
-    auto rec = r->ReadRecord();
-    if (!rec.ok()) return rec.status();
-    auto s = r->ReadU64();
-    if (!s.ok()) return s.status();
-    pending_.emplace_back(std::move(*rec), *s);
-  }
-  std::make_heap(pending_.begin(), pending_.end(), PendingAfter);
-  auto nk = r->ReadU64();
-  if (!nk.ok()) return nk.status();
+  // The query table comes first: restored key state refers to its slots.
+  STREAMLINE_RETURN_IF_ERROR(ReadMeta(r));
+  uint64_t nk = 0;
+  STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU64(), &nk));
   keys_.clear();
-  keys_.Reserve(*nk);
-  for (uint64_t i = 0; i < *nk; ++i) {
-    auto key = r->ReadValue();
-    if (!key.ok()) return key.status();
-    KeyState* ks = GetOrCreateKey(*key, KeyHashOf(*key));
+  keys_.Reserve(nk);
+  for (uint64_t i = 0; i < nk; ++i) {
+    Value key;
+    STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadValue(), &key));
+    KeyState* ks = &GetOrCreateKey(key, KeyHashOf(key), nullptr)->second;
     STREAMLINE_RETURN_IF_ERROR(RestoreKeyState(ks, r));
   }
-  current_wm_ = *wm;
-  seq_ = *seq;
+  derived_valid_ = false;
   return Status::Ok();
 }
 
 Status WindowAggOperator::SnapshotDelta(ChangelogSink* sink) {
   // Meta record first: the operator-wide clock (watermark, arrival
-  // sequence) and the reorder buffer. The buffer holds only records the
-  // watermark has not yet covered, so this stays small in steady state;
-  // replay replaces it wholesale.
+  // sequence), the query table and the reorder buffer. The buffer holds
+  // only records the watermark has not yet covered, so this stays small in
+  // steady state; replay replaces it wholesale.
   {
     BinaryWriter w;
     w.WriteU8(kDeltaMetaTag);
-    w.WriteI64(current_wm_);
-    w.WriteU64(seq_);
-    WriteDynTable(&w);
-    w.WriteU64(pending_.size());
-    for (const auto& [record, seq] : pending_) {
-      w.WriteRecord(record);
-      w.WriteU64(seq);
-    }
+    WriteMeta(&w);
     STREAMLINE_RETURN_IF_ERROR(sink->Append(w.Release()));
   }
   for (const KeyedChangelog::Event& ev : changelog_.events()) {
@@ -781,51 +1113,30 @@ Status WindowAggOperator::SnapshotDelta(ChangelogSink* sink) {
 }
 
 Status WindowAggOperator::ApplyDelta(BinaryReader* r) {
-  auto tag = r->ReadU8();
-  if (!tag.ok()) return tag.status();
-  if (*tag == kDeltaMetaTag) {
-    auto wm = r->ReadI64();
-    if (!wm.ok()) return wm.status();
-    auto seq = r->ReadU64();
-    if (!seq.ok()) return seq.status();
-    std::vector<DynQuery> table;
-    uint64_t applied_seq = 0;
-    STREAMLINE_RETURN_IF_ERROR(ReadDynTable(r, &table, &applied_seq));
-    ReconcileDynTable(std::move(table), applied_seq);
-    auto np = r->ReadU64();
-    if (!np.ok()) return np.status();
-    pending_.clear();
-    for (uint64_t i = 0; i < *np; ++i) {
-      auto rec = r->ReadRecord();
-      if (!rec.ok()) return rec.status();
-      auto s = r->ReadU64();
-      if (!s.ok()) return s.status();
-      pending_.emplace_back(std::move(*rec), *s);
-    }
-    std::make_heap(pending_.begin(), pending_.end(), PendingAfter);
-    current_wm_ = *wm;
-    seq_ = *seq;
+  uint8_t tag = 0;
+  STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU8(), &tag));
+  if (tag == kDeltaMetaTag) return ReadMeta(r);
+  Value key;
+  STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadValue(), &key));
+  const uint64_t hash = KeyHashOf(key);
+  derived_valid_ = false;
+  if (tag == kDeltaEraseTag) {
+    keys_.Erase(hash, key);
     return Status::Ok();
   }
-  auto key = r->ReadValue();
-  if (!key.ok()) return key.status();
-  const uint64_t hash = KeyHashOf(*key);
-  if (*tag == kDeltaEraseTag) {
-    keys_.Erase(hash, *key);
-    return Status::Ok();
-  }
-  if (*tag != kDeltaUpsertTag) {
-    return Status::Internal("bad changelog tag " + std::to_string(*tag) +
+  if (tag != kDeltaUpsertTag) {
+    return Status::Internal("bad changelog tag " + std::to_string(tag) +
                             " in '" + name_ + "'");
   }
-  auto present = r->ReadU8();
-  if (!present.ok()) return present.status();
-  KeyState* ks = GetOrCreateKey(*key, hash);
-  if (*present != 0) STREAMLINE_RETURN_IF_ERROR(RestoreKeyState(ks, r));
+  uint8_t present = 0;
+  STREAMLINE_RETURN_IF_ERROR(ReadTo(r->ReadU8(), &present));
+  KeyState* ks = &GetOrCreateKey(key, hash, nullptr)->second;
+  if (present != 0) STREAMLINE_RETURN_IF_ERROR(RestoreKeyState(ks, r));
   return Status::Ok();
 }
 
 AggStats WindowAggOperator::SharedStats() const {
+  if (mode_ == Mode::kGrid) return grid_stats_;
   AggStats total;
   for (const auto& [key, ks] : keys_) {
     if (!ks.shared) continue;

@@ -2,7 +2,6 @@
 #define STREAMLINE_DATAFLOW_WINDOW_OPERATOR_H_
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -115,7 +114,7 @@ struct DynAggAdapter {
 
 /// How the windowed operator maintains per-window state.
 enum class WindowBackend : uint8_t {
-  kShared,  // Cutty slicing with a shared FlatFAT slice store (default)
+  kShared,  // Cutty slicing: one partial per slice, shared by all queries
   kEager,   // one partial per open window (pre-sharing state of practice)
 };
 
@@ -126,8 +125,10 @@ struct WindowAggSpec {
   /// Index of the aggregated field in the input record.
   size_t value_field = 0;
   DynAggKind agg_kind = DynAggKind::kSum;
-  /// Prototype window definitions; each key gets fresh clones. Multiple
-  /// entries = multi-query sharing over the same slice store.
+  /// Window definitions. Multiple entries = multi-query sharing over the
+  /// same slices. When every entry is periodic (tumbling or sliding) the
+  /// shared backend cuts one slice grid for the whole operator; otherwise
+  /// each key gets fresh clones in its own slicing aggregator.
   std::vector<std::shared_ptr<const WindowFunction>> windows;
   WindowBackend backend = WindowBackend::kShared;
   /// Passed as payload to content-sensitive window functions; nullptr
@@ -138,7 +139,8 @@ struct WindowAggSpec {
   /// window results firing `allowed_lateness` later (the operator holds
   /// its internal event-time clock back by this amount).
   Duration allowed_lateness = 0;
-  /// Standing-query registry this operator serves (kShared backend only).
+  /// Standing-query registry this operator serves. Requires the shared
+  /// backend and periodic spec windows (Open rejects anything else).
   /// Subtasks drain the registry's attach/detach command log at watermark
   /// boundaries, so queries come and go while the job runs; dynamic-query
   /// results carry the registry query id in output field 3.
@@ -155,6 +157,19 @@ struct WindowAggSpec {
 /// with timestamp = window_end - 1 (the last instant inside the window),
 /// so downstream windowed consumers see results in the period they
 /// describe.
+///
+/// State layout (see DESIGN.md, "Window operator state"):
+///  * Grid path -- shared backend, every spec window periodic. One
+///    operator-level query table (spec windows plus registry queries) and
+///    one cut grid; each key holds only its (slice start, partial) list,
+///    the registry queries it serves from a late start, and its standalone
+///    open windows. A timer heap keyed by each key's next window end lets
+///    a watermark visit only keys with a window to fire; registry commands
+///    edit the table and never rewrite key state.
+///  * Per-key path -- shared backend with a session, count, punctuation or
+///    user-defined window: a SlicingAggregator per key, advanced on every
+///    watermark.
+///  * Eager path -- one partial per open window per key.
 class WindowAggOperator : public Operator {
  public:
   WindowAggOperator(std::string name, WindowAggSpec spec);
@@ -175,12 +190,20 @@ class WindowAggOperator : public Operator {
   void ResetDelta() override { changelog_.Clear(); }
   std::string Name() const override { return name_; }
 
-  /// Aggregation work counters summed over all keys (shared backend only).
+  /// Aggregation work counters (shared backend only).
   AggStats SharedStats() const;
   size_t num_keys() const { return keys_.size(); }
 
+  /// Grid-path footprint, for boundedness checks: query-table slots (spec
+  /// windows included, freed slots reused) and the summed size of every
+  /// key's slice list, late-serve list and standalone window list.
+  size_t query_slots() const { return queries_.size(); }
+  size_t KeyStateEntries() const;
+
  private:
   using SharedAgg = SlicingAggregator<DynAggAdapter, FlatFatStore<DynAggAdapter>>;
+
+  enum class Mode : uint8_t { kGrid, kPerKey, kEager };
 
   struct EagerQueryState {
     std::unique_ptr<WindowFunction> wf;  // used only for periodic params
@@ -192,89 +215,138 @@ class WindowAggOperator : public Operator {
     std::vector<std::pair<Window, DynPartial>> open;
   };
 
-  /// One registry-attached query, as applied by this subtask. The table is
-  /// a pure function of the command-log prefix [1, applied_seq_] (plus the
-  /// watermark at each application), so it is identical across subtasks and
-  /// across checkpoint restore/replay. Entries are append-only -- a detach
-  /// flips `active` but keeps the entry, because per-key slot indices and
-  /// snapshot layouts are derived from entry positions.
-  struct DynQuery {
-    uint64_t id = 0;
-    QueryDescriptor desc;
+  /// One slot of the grid path's query table: a spec window (slots
+  /// [0, spec_.windows.size()), never freed) or a registry query. The table
+  /// is a pure function of the command-log prefix [1, applied_seq_] and
+  /// the watermark at each application, so it is identical across
+  /// subtasks and across checkpoint restore/replay.
+  struct GridQuery {
+    bool active = false;
+    uint64_t id = 0;  // output field 3: spec index or registry query id
+    Duration range = 0;
+    Duration slide = 0;
+    Timestamp origin = 0;
     QueryPlacement placement = QueryPlacement::kShared;
-    bool active = true;
+    /// Attach command seq; 0 for spec windows (served from every key's
+    /// first record).
+    uint64_t seq = 0;
     /// Operator watermark when the attach was applied; standalone queries
-    /// only serve windows beginning at or after it (earlier windows would
-    /// be missing the records applied before the attach).
+    /// serve windows beginning at or after it.
     Timestamp attach_wm = kMinTimestamp;
+    /// Keys that existed at the attach and backfill it: key -> begin of the
+    /// first served window. An entry moves into the key's own `late` list
+    /// the next time the key is touched.
+    FlatHashMap<Value, Timestamp> backfill;
   };
 
-  /// Per-key open-window partials of one standalone dynamic query
-  /// (positionally aligned with the standalone entries of dyn_queries_,
-  /// holes included).
-  struct StandaloneState {
-    std::vector<std::pair<Window, DynPartial>> open;  // sorted by Window <
+  struct SlicePartial {
+    Timestamp start;
+    DynPartial partial;
+  };
+  /// A shared registry query that attached while the key already existed:
+  /// the key serves its windows beginning at or after `from`. Dropped once
+  /// every window it could still fire begins after `from`.
+  struct LateServe {
+    uint32_t slot;
+    uint64_t seq;
+    Timestamp from;
+  };
+  struct StandaloneWindow {
+    uint32_t slot;
+    uint64_t seq;
+    Window window;
+    DynPartial partial;
   };
 
   struct KeyState {
-    // kShared backend.
+    // -- grid path ---------------------------------------------------------
+    /// Non-empty slices in start order; back() is the open slice, which
+    /// is never evicted.
+    std::vector<SlicePartial> slices;
+    Timestamp last_ts = kMinTimestamp;  // the key's latest record
+    /// Every served window ending at or before this has fired.
+    Timestamp fired_to = kMinTimestamp;
+    /// Command seq the key has caught up with: registry queries attached
+    /// later were attached while the key existed.
+    uint64_t epoch = 0;
+    std::vector<LateServe> late;
+    /// Sorted by (end, start, slot, seq).
+    std::vector<StandaloneWindow> standalone;
+    // Derived, never serialized: the key hash and the key's next window
+    // end (its timer-heap position).
+    uint64_t hash = 0;
+    Timestamp timer = kMaxTimestamp;
+    // -- per-key path ------------------------------------------------------
     std::unique_ptr<SharedAgg> shared;
-    // kEager backend.
+    // -- eager path --------------------------------------------------------
     std::vector<EagerQueryState> eager;
-    // Registry-attached standalone queries (kShared backend only).
-    std::vector<StandaloneState> standalone;
-    uint64_t standalone_fires = 0;
   };
 
-  KeyState* GetOrCreateKey(const Value& key, uint64_t hash);
-  void ApplyElement(const Value& key, KeyState* ks, const Record& record);
-  void AdvanceKeyWatermark(const Value& key, KeyState* ks, Timestamp wm);
-  void SnapshotKeyState(const KeyState& ks, BinaryWriter* w) const;
-  Status RestoreKeyState(KeyState* ks, BinaryReader* r);
-  /// Cheap serialized-state fingerprint used to detect keys mutated by a
-  /// watermark advance (window fires, slice eviction) without walking the
-  /// aggregation state. Shared backend: any firing bumps stats().fires, any
-  /// slice churn moves slices_created or the store size, and every other
-  /// OnWatermark-reachable mutation is gated on one of those. Eager
-  /// backend: EagerFire only erases, so the total open-window count
-  /// strictly decreases whenever anything fired.
-  std::array<uint64_t, 4> KeyFingerprint(const KeyState& ks) const;
-  void EmitResult(const Value& key, size_t query, const Window& w,
+  using KeyEntry = std::pair<Value, KeyState>;
+
+  KeyEntry* GetOrCreateKey(const Value& key, uint64_t hash, bool* created);
+  void EmitResult(const Value& key, uint64_t query, const Window& w,
                   const Value& result);
-  void EagerFire(const Value& key, KeyState* ks, Timestamp wm);
+  void ResolveKey(const Record& record, Value* key, uint64_t* hash);
   void UpdateStateGauges();
 
-  // -- standing-query registry integration --------------------------------
+  // -- per-key and eager paths --------------------------------------------
+  void ApplyElement(const Value& key, KeyState* ks, const Record& record);
+  /// Advances one key's window clock; returns whether it mutated the key.
+  bool AdvanceKeyWatermark(const Value& key, KeyState* ks, Timestamp wm);
+  bool EagerFire(const Value& key, KeyState* ks, Timestamp wm);
+  void ApplyPerKeyRecords();
+
+  // -- grid path ------------------------------------------------------------
+  /// Latest live cut at or before `x`: the largest begin b <= x of an
+  /// active shared query whose window [b, b + range) contains x, or
+  /// kMinTimestamp when none does. Cached for a run of timestamps.
+  Timestamp LiveCut(Timestamp x);
+  void ApplyGridRecord(const Record& record);
+  /// First begin of the windows of `slot` that key `ks` serves;
+  /// kMinTimestamp when it serves all of them. `*fresh` is set when the
+  /// value is a backfill the key has not taken over yet (its windows may
+  /// already have ended and not fired).
+  Timestamp ServedFrom(const KeyEntry& e, size_t slot, bool* fresh) const;
+  /// Earliest begin of a window of `slot` the key still has to fire.
+  Timestamp LowestPendingBegin(const KeyEntry& e, size_t slot,
+                               bool fresh_backfill) const;
+  /// End of the key's next window to fire (kMaxTimestamp: none).
+  Timestamp NextFire(const KeyEntry& e) const;
+  /// Earliest slice start a window of the key may still need at time `t`
+  /// (queries other than `skip_slot`); older stored slices are garbage.
+  Timestamp Needed(const KeyEntry& e, Timestamp t, size_t skip_slot) const;
+  /// Takes over the key's backfill entries and late starts of queries
+  /// attached since its epoch; appends the slots of taken-over backfills.
+  void CatchUp(KeyEntry* e, std::vector<uint32_t>* fresh_slots);
+  /// Fires every window of the key ending at or before `t`, then evicts.
+  /// Returns whether anything fired.
+  bool FireKey(KeyEntry* e, Timestamp t);
+  void PruneLate(KeyState* ks) const;
+  void Arm(uint32_t kid, KeyEntry* e);
+  void FireDueKeys(Timestamp wm);
+  void AttachGridQuery(const QueryCommand& cmd);
+  uint64_t DetachGridQuery(uint64_t query_id);
+  /// Recomputes derived state (timers, slice count, caches) after restore.
+  void RebuildDerived();
+  void RefreshQueryIndex();
+
+  // -- standing-query registry --------------------------------------------
   /// Polls the registry command log and applies new attach/detach commands
-  /// to every key; called at the end of each watermark (a deterministic
-  /// point of the event-time order). Acks the applied prefix.
+  /// to the query table; called at the end of each watermark (a
+  /// deterministic point of the event-time order). Acks the applied prefix.
   void DrainRegistryCommands();
-  /// Structural application of one dyn-table entry to live keys. Shared by
-  /// the live drain and by checkpoint-delta replay (which reconciles the
-  /// key layout before re-restoring the keys the epoch touched).
-  void ApplyDynAttach(const DynQuery& dq, uint64_t* slices_freed);
-  void ApplyDynDetach(size_t index, uint64_t* slices_freed);
-  /// Slicer slot of dyn entry `index` (spec windows first, then one slot
-  /// per shared dyn entry in table order, detached holes included).
-  size_t SharedSlotOfDyn(size_t index) const;
-  /// Position of dyn entry `index` among standalone entries.
-  size_t StandaloneIndexOfDyn(size_t index) const;
-  /// Registers the dyn-table queries on a freshly created key (slot layout
-  /// must match the table for snapshots to line up).
-  void InitDynStateForKey(const Value& key, KeyState* ks);
-  void FoldStandalone(const Value& key, KeyState* ks, const Record& record);
-  void FireStandalone(const Value& key, KeyState* ks, Timestamp wm);
-  uint64_t TotalStoredSlices() const;
-  void WriteDynTable(BinaryWriter* w) const;
-  Status ReadDynTable(BinaryReader* r, std::vector<DynQuery>* table,
-                      uint64_t* applied_seq) const;
-  /// Replaces the dyn table with `table`, structurally retrofitting live
-  /// keys (new entries attached, newly inactive entries detached).
-  void ReconcileDynTable(std::vector<DynQuery> table, uint64_t applied_seq);
+
+  // -- snapshots --------------------------------------------------------------
+  void WriteMeta(BinaryWriter* w) const;
+  Status ReadMeta(BinaryReader* r);
+  void SnapshotKeyState(const KeyState& ks, BinaryWriter* w) const;
+  Status RestoreKeyState(KeyState* ks, BinaryReader* r);
 
   std::string name_;
   WindowAggSpec spec_;
   DynAggAdapter adapter_;
+  Mode mode_ = Mode::kGrid;
 
   using PendingEntry = std::pair<Record, uint64_t>;
   /// Min-heap order on (timestamp, arrival seq) -- `a` sorts after `b`.
@@ -297,20 +369,42 @@ class WindowAggOperator : public Operator {
   // Covered records popped off the heap, in (ts, seq) order; capacity
   // persists across watermarks.
   std::vector<PendingEntry> apply_scratch_;
-  // Scratch for contiguous same-key runs handed to the aggregator's batch
-  // entry point (shared backend only); capacity persists across watermarks.
+  // Scratch for contiguous same-key runs handed to the per-key
+  // aggregator's batch entry point; capacity persists across watermarks.
   std::vector<Timestamp> run_ts_;
   std::vector<DynAggAdapter::Input> run_in_;
   uint64_t seq_ = 0;
   Timestamp current_wm_ = kMinTimestamp;
 
-  // Standing-query state (empty without a registry). active_standalone_
-  // gates the per-record standalone fold -- and disables run batching,
-  // which bypasses ApplyElement.
-  std::vector<DynQuery> dyn_queries_;
+  // Grid path: the query table and what is derived from it.
+  std::vector<GridQuery> queries_;
   uint64_t applied_seq_ = 0;
-  size_t active_standalone_ = 0;
-  int subtask_index_ = 0;
+  std::vector<uint32_t> shared_slots_;      // active shared slots, ascending
+  std::vector<uint32_t> standalone_slots_;  // active standalone slots
+  uint64_t attach_epoch_ = 0;  // highest seq among active shared queries
+  bool derived_valid_ = true;
+  // LiveCut cache: the cut for timestamps in [cut_lo_, cut_hi_).
+  bool cut_valid_ = false;
+  Timestamp cut_lo_ = 0;
+  Timestamp cut_hi_ = 0;
+  Timestamp cut_ = kMinTimestamp;
+  // Min-heap of (next window end, key index); an entry is live while it
+  // matches the key's `timer`.
+  std::vector<std::pair<Timestamp, uint32_t>> timers_;
+  uint64_t stored_slices_ = 0;  // slices held besides each key's open one
+  AggStats grid_stats_;
+  // Per-call scratch.
+  struct DueWindow {
+    Timestamp end;
+    uint32_t slot;
+    Timestamp start;
+    size_t standalone_index;  // SIZE_MAX for shared windows
+  };
+  std::vector<DueWindow> due_;
+  std::vector<uint32_t> fresh_slots_;
+  std::vector<uint32_t> due_keys_;
+
+  std::string worker_name_;  // "<operator>:<subtask>", the registry's id
   // The job MetricsRegistry handed to the registry in Open; unbound in the
   // destructor so a registry outliving this job never writes into it.
   MetricsRegistry* bound_metrics_ = nullptr;

@@ -300,6 +300,31 @@ TEST(SlicingAggregatorTest, DetachFreesSlices) {
   for (const auto& [w, v] : out) EXPECT_DOUBLE_EQ(v, 10.0);
 }
 
+TEST(SlicingAggregatorTest, AttachReusesDetachedSlot) {
+  SlicingAggregator<SumAgg<double>> agg;
+  agg.AddQuery(std::make_unique<TumblingWindowFn>(10), nullptr);
+  std::vector<std::pair<Window, double>> out;
+  for (Timestamp t = 0; t < 100; ++t) agg.OnElement(t, 1.0);
+  // Churn: every attach takes the slot the previous detach freed.
+  for (int i = 0; i < 50; ++i) {
+    const size_t slot = agg.AttachQuery(
+        std::make_unique<SlidingWindowFn>(20, 10),
+        [&](size_t, const Window& w, const double& v) {
+          out.emplace_back(w, v);
+        });
+    EXPECT_EQ(slot, 1u);
+    for (Timestamp t = 100 + 10 * i; t < 110 + 10 * i; ++t) {
+      agg.OnElement(t, 1.0);
+    }
+    agg.DetachQuery(slot);
+  }
+  EXPECT_EQ(agg.num_slots(), 2u);
+  EXPECT_EQ(agg.active_queries(), 1u);
+  // Every window the reused slots fired holds one record per time unit.
+  ASSERT_FALSE(out.empty());
+  for (const auto& [w, v] : out) EXPECT_DOUBLE_EQ(v, 20.0) << w.ToString();
+}
+
 TEST(SlicingAggregatorTest, AttachBeforeFirstElementIsFromStart) {
   SlicingAggregator<SumAgg<double>> agg;
   std::vector<std::pair<Window, double>> out;
