@@ -79,8 +79,9 @@ struct QueryCommand {
 /// window is byte-identical to the same window of a from-start query. A key
 /// created after the attach is served from its first record. Standalone
 /// queries serve every window beginning at or after the attach watermark.
-/// Detach removes the query; the slices only it kept alive are
-/// garbage-collected.
+/// Detach removes the query from the table and rewrites no key; the
+/// slices and windows only it kept alive are freed at the key's next fire,
+/// or, for a key with no window pending, at the next watermark.
 ///
 /// Placement is cost-based, decided once per attach (see ChoosePlacement):
 /// sharing the slicer costs one partial update per record *total* plus
@@ -121,7 +122,8 @@ class QueryRegistry {
   }
 
   /// Detaches a previously attached query. Slices only it pinned are
-  /// garbage-collected when workers apply the command.
+  /// freed at their key's next fire, or at the next watermark for a key
+  /// with no window pending.
   [[nodiscard]] Status Detach(uint64_t query_id);
 
   /// Blocks until every registered worker has applied the attach (or
@@ -174,7 +176,7 @@ class QueryRegistry {
 
   /// Worker `worker` has applied the log prefix up to `seq` and now holds
   /// `shared_slices` stored slice partials across its keys; `slices_freed`
-  /// were released by detaches since its previous ack. Overwrites (not
+  /// were left to free by detaches since its previous ack. Overwrites (not
   /// maxes) the worker's ack so a checkpoint-restore rollback is honestly
   /// reflected until the worker re-applies the tail.
   void AckApplied(const std::string& worker, uint64_t seq,

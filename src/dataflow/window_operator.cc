@@ -1,7 +1,6 @@
 #include "dataflow/window_operator.h"
 
 #include <algorithm>
-#include <limits>
 #include <tuple>
 
 #include "common/logging.h"
@@ -34,8 +33,6 @@ Timestamp CeilToGrid(Timestamp ts, Timestamp origin, Duration step) {
   const Timestamp f = FloorToGrid(ts, origin, step);
   return f == ts ? ts : f + step;
 }
-
-constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
 
 }  // namespace
 
@@ -221,8 +218,10 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
     wm = wm - spec_.allowed_lateness;
     if (wm <= current_wm_) return;
   }
-  current_wm_ = std::max(current_wm_, wm);
+  // Derived state is rebuilt at the restored watermark, so keys the last
+  // drain armed for a sweep are armed alike.
   if (!derived_valid_) RebuildDerived();
+  current_wm_ = std::max(current_wm_, wm);
   // Pop exactly the records this watermark covers, in (ts, arrival) order;
   // they can no longer be preceded by anything. Records still ahead of the
   // watermark never move -- the common stall (one slow input channel
@@ -442,10 +441,15 @@ void WindowAggOperator::ApplyGridRecord(const Record& record) {
   const Timestamp x = record.timestamp;
   bool rearm = created;
   if (!created) {
-    // Windows ending at or before x exclude it: fire them first.
-    if (x >= ks.timer && NextFire(*e) <= x) {
-      FireKey(e, x);
-      rearm = true;
+    // Windows ending at or before x exclude it: fire them first. A key
+    // with nothing pending sweeps what detached queries left.
+    if (x >= ks.timer) {
+      const Timestamp next = NextFire(*e);
+      if (next <= x ||
+          (next == kMaxTimestamp && HasLeftovers(*e, x, nullptr))) {
+        FireKey(e, x);
+        rearm = true;
+      }
     }
     if (ks.epoch < attach_epoch_) CatchUp(e, nullptr);
   }
@@ -551,12 +555,10 @@ Timestamp WindowAggOperator::NextFire(const KeyEntry& e) const {
   return next;
 }
 
-Timestamp WindowAggOperator::Needed(const KeyEntry& e, Timestamp t,
-                                    size_t skip_slot) const {
+Timestamp WindowAggOperator::Needed(const KeyEntry& e, Timestamp t) const {
   if (t == kMaxTimestamp) return kMaxTimestamp;
   Timestamp needed = kMaxTimestamp;
   for (uint32_t s : shared_slots_) {
-    if (s == skip_slot) continue;
     const GridQuery& q = queries_[s];
     bool fresh = false;
     const Timestamp from = ServedFrom(e, s, &fresh);
@@ -568,6 +570,34 @@ Timestamp WindowAggOperator::Needed(const KeyEntry& e, Timestamp t,
         std::max(from, FloorToGrid(t - q.range, q.origin, q.slide) + q.slide));
   }
   return needed;
+}
+
+size_t WindowAggOperator::Evictable(const KeyEntry& e, Timestamp t) const {
+  const std::vector<SlicePartial>& slices = e.second.slices;
+  if (slices.size() < 2) return 0;
+  const Timestamp needed = Needed(e, t);
+  size_t n = 0;
+  while (n + 1 < slices.size() && slices[n].start < needed) ++n;
+  return n;
+}
+
+bool WindowAggOperator::HasLeftovers(const KeyEntry& e, Timestamp t,
+                                     uint64_t* slices) const {
+  const size_t evictable = Evictable(e, t);
+  if (slices != nullptr) *slices = evictable;
+  if (evictable > 0) return true;
+  const auto dead = [&](uint32_t slot, uint64_t seq) {
+    return slot >= queries_.size() || !queries_[slot].active ||
+           queries_[slot].seq != seq;
+  };
+  const KeyState& ks = e.second;
+  return std::any_of(ks.standalone.begin(), ks.standalone.end(),
+                     [&](const StandaloneWindow& w) {
+                       return dead(w.slot, w.seq);
+                     }) ||
+         std::any_of(ks.late.begin(), ks.late.end(), [&](const LateServe& l) {
+           return dead(l.slot, l.seq);
+         });
 }
 
 void WindowAggOperator::CatchUp(KeyEntry* e,
@@ -604,20 +634,31 @@ void WindowAggOperator::PruneLate(KeyState* ks) const {
                  ks->late.end());
 }
 
-bool WindowAggOperator::FireKey(KeyEntry* e, Timestamp t) {
+void WindowAggOperator::FireKey(KeyEntry* e, Timestamp t) {
   KeyState& ks = e->second;
   fresh_slots_.clear();
   if (ks.epoch < attach_epoch_) CatchUp(e, &fresh_slots_);
   due_.clear();
+  // Every due window contains the key's last record, so the slices inside
+  // it are a suffix of the key's list, from its first slice at or after
+  // the window's start.
+  size_t lo = ks.slices.size();
   for (uint32_t s : shared_slots_) {
     const bool fresh = std::find(fresh_slots_.begin(), fresh_slots_.end(),
                                  s) != fresh_slots_.end();
-    const Timestamp lo = LowestPendingBegin(*e, s, fresh);
-    if (lo == kMaxTimestamp) continue;
+    const Timestamp lo_begin = LowestPendingBegin(*e, s, fresh);
+    if (lo_begin == kMaxTimestamp) continue;
     const GridQuery& q = queries_[s];
-    for (Timestamp b = CeilToGrid(lo, q.origin, q.slide);
+    for (Timestamp b = CeilToGrid(lo_begin, q.origin, q.slide);
          b <= ks.last_ts && b + q.range <= t; b += q.slide) {
-      due_.push_back(DueWindow{b + q.range, s, b, kNoSlot});
+      STREAMLINE_DCHECK(ks.last_ts < b + q.range);
+      const size_t first = static_cast<size_t>(
+          std::lower_bound(
+              ks.slices.begin(), ks.slices.end(), b,
+              [](const SlicePartial& p, Timestamp v) { return p.start < v; }) -
+          ks.slices.begin());
+      lo = std::min(lo, first);
+      due_.push_back(DueWindow{b + q.range, s, b, false, first});
     }
   }
   // Standalone windows of detached queries go; ended ones fire.
@@ -632,7 +673,7 @@ bool WindowAggOperator::FireKey(KeyEntry* e, Timestamp t) {
   while (standalone_fired < ks.standalone.size() &&
          ks.standalone[standalone_fired].window.end <= t) {
     const StandaloneWindow& w = ks.standalone[standalone_fired];
-    due_.push_back(DueWindow{w.window.end, w.slot, w.window.start,
+    due_.push_back(DueWindow{w.window.end, w.slot, w.window.start, true,
                              standalone_fired});
     ++standalone_fired;
   }
@@ -640,42 +681,40 @@ bool WindowAggOperator::FireKey(KeyEntry* e, Timestamp t) {
                                          const DueWindow& b) {
     return std::tie(a.end, a.slot, a.start) < std::tie(b.end, b.slot, b.start);
   });
+  // One right-to-left pass over the slices of the oldest due window serves
+  // every due window, however many queries fire: suffix_[i - lo] combines
+  // slices [i, n). Each window's result depends only on its own slices.
+  const size_t n = ks.slices.size();
+  suffix_.resize(n - lo);
+  for (size_t i = n; i-- > lo;) {
+    suffix_[i - lo] =
+        i + 1 == n ? ks.slices[i].partial
+                   : adapter_.Combine(ks.slices[i].partial, suffix_[i + 1 - lo]);
+  }
+  grid_stats_.combine_ops += n - lo;
   for (const DueWindow& d : due_) {
-    if (d.standalone_index != kNoSlot) {
-      const StandaloneWindow& w = ks.standalone[d.standalone_index];
+    if (d.standalone) {
+      const StandaloneWindow& w = ks.standalone[d.index];
       EmitResult(e->first, queries_[w.slot].id, w.window,
                  adapter_.Lower(w.partial));
       continue;
     }
-    // The key's slices starting inside the window, oldest first.
-    auto it = std::lower_bound(
-        ks.slices.begin(), ks.slices.end(), d.start,
-        [](const SlicePartial& p, Timestamp v) { return p.start < v; });
-    DynPartial acc = adapter_.Identity();
-    for (; it != ks.slices.end() && it->start < d.end; ++it) {
-      acc = adapter_.Combine(acc, it->partial);
-      ++grid_stats_.combine_ops;
-    }
     ++grid_stats_.fires;
     EmitResult(e->first, queries_[d.slot].id, Window{d.start, d.end},
-               adapter_.Lower(acc));
+               adapter_.Lower(d.index < n ? suffix_[d.index - lo]
+                                          : adapter_.Identity()));
   }
   ks.standalone.erase(ks.standalone.begin(),
                       ks.standalone.begin() +
                           static_cast<ptrdiff_t>(standalone_fired));
   ks.fired_to = std::max(ks.fired_to, t);
-  const Timestamp needed = Needed(*e, t, kNoSlot);
-  size_t evict = 0;
-  while (evict + 1 < ks.slices.size() && ks.slices[evict].start < needed) {
-    ++evict;
-  }
+  const size_t evict = Evictable(*e, t);
   if (evict > 0) {
     ks.slices.erase(ks.slices.begin(),
                     ks.slices.begin() + static_cast<ptrdiff_t>(evict));
     stored_slices_ -= evict;
   }
   PruneLate(&ks);
-  return !due_.empty();
 }
 
 void WindowAggOperator::Arm(uint32_t kid, KeyEntry* e) {
@@ -685,6 +724,14 @@ void WindowAggOperator::Arm(uint32_t kid, KeyEntry* e) {
   ks.timer = next;
   if (next == kMaxTimestamp) return;
   timers_.emplace_back(next, kid);
+  std::push_heap(timers_.begin(), timers_.end(), std::greater<>());
+}
+
+void WindowAggOperator::ArmSweep(uint32_t kid, KeyEntry* e) {
+  KeyState& ks = e->second;
+  if (ks.timer <= current_wm_) return;
+  ks.timer = current_wm_;
+  timers_.emplace_back(current_wm_, kid);
   std::push_heap(timers_.begin(), timers_.end(), std::greater<>());
 }
 
@@ -704,8 +751,12 @@ void WindowAggOperator::FireDueKeys(Timestamp wm) {
   std::sort(due_keys_.begin(), due_keys_.end());
   for (uint32_t kid : due_keys_) {
     KeyEntry* e = keys_.begin() + kid;
-    // A detach may have removed the window the timer was set for.
-    if (NextFire(*e) <= wm && FireKey(e, wm)) {
+    // A detach may have removed the window the timer was set for; a key
+    // left with nothing pending still sweeps what detached queries held.
+    const Timestamp next = NextFire(*e);
+    if (next <= wm ||
+        (next == kMaxTimestamp && HasLeftovers(*e, wm, nullptr))) {
+      FireKey(e, wm);
       changelog_.Upsert(e->first, e->second.hash);
     }
     Arm(kid, e);
@@ -744,7 +795,7 @@ void WindowAggOperator::AttachGridQuery(const QueryCommand& cmd) {
             [](const SlicePartial& p, Timestamp v) { return p.start < v; });
         if (it == ks.slices.end() - 1 || it->start != b) return false;
         if (!needed_known) {
-          needed = Needed(*e, current_wm_, kNoSlot);
+          needed = Needed(*e, current_wm_);
           needed_known = true;
         }
         return b >= needed;
@@ -772,30 +823,28 @@ void WindowAggOperator::AttachGridQuery(const QueryCommand& cmd) {
   RefreshQueryIndex();
 }
 
-uint64_t WindowAggOperator::DetachGridQuery(uint64_t query_id) {
-  size_t slot = 0;
-  while (slot < queries_.size() &&
-         !(queries_[slot].active && queries_[slot].seq != 0 &&
-           queries_[slot].id == query_id)) {
-    ++slot;
-  }
-  if (slot == queries_.size()) return 0;
-  uint64_t freed = 0;
-  if (queries_[slot].placement == QueryPlacement::kShared) {
-    // Count the stored slices only this query kept alive. They leave
-    // memory at the key's next fire; the key is not rewritten here.
-    for (KeyEntry& e : keys_) {
-      const std::vector<SlicePartial>& slices = e.second.slices;
-      if (slices.size() < 2) continue;
-      const Timestamp with = Needed(e, current_wm_, kNoSlot);
-      const Timestamp without = Needed(e, current_wm_, slot);
-      for (size_t i = 0; i + 1 < slices.size(); ++i) {
-        if (slices[i].start >= with && slices[i].start < without) ++freed;
-      }
+void WindowAggOperator::DetachGridQuery(uint64_t query_id) {
+  for (GridQuery& q : queries_) {
+    if (q.active && q.seq != 0 && q.id == query_id) {
+      q = GridQuery{};
+      RefreshQueryIndex();
+      return;
     }
   }
-  queries_[slot] = GridQuery{};
-  RefreshQueryIndex();
+}
+
+uint64_t WindowAggOperator::ArmLeftoverSweeps() {
+  uint64_t freed = 0;
+  for (uint32_t kid = 0; kid < keys_.size(); ++kid) {
+    KeyEntry* e = keys_.begin() + kid;
+    uint64_t slices = 0;
+    if (HasLeftovers(*e, current_wm_, &slices)) {
+      freed += slices;
+      // A key with a window pending frees them when it fires; one with
+      // none would keep them until its next record.
+      if (NextFire(*e) == kMaxTimestamp) ArmSweep(kid, e);
+    }
+  }
   return freed;
 }
 
@@ -811,6 +860,9 @@ void WindowAggOperator::RebuildDerived() {
     if (n > 0) stored_slices_ += n - 1;
     Arm(kid, e);
   }
+  // Keys holding what detached queries left sweep at the next watermark,
+  // as they would have without the restore.
+  if (mode_ == Mode::kGrid) ArmLeftoverSweeps();
   derived_valid_ = true;
 }
 
@@ -830,14 +882,20 @@ void WindowAggOperator::DrainRegistryCommands() {
   if (reg == nullptr) return;
   uint64_t slices_freed = 0;
   if (reg->latest_seq() != applied_seq_) {
+    bool detached = false;
     for (const QueryCommand& cmd : reg->CommandsAfter(applied_seq_)) {
       if (cmd.kind == QueryCommand::Kind::kAttach) {
         AttachGridQuery(cmd);
       } else {
-        slices_freed += DetachGridQuery(cmd.query_id);
+        DetachGridQuery(cmd.query_id);
+        detached = true;
       }
       applied_seq_ = cmd.seq;
     }
+    // The command rewrites no key; keys holding slices or windows only
+    // detached queries needed free them at their next fire, or, with
+    // nothing pending, at the next watermark.
+    if (detached) slices_freed = ArmLeftoverSweeps();
   }
   reg->AckApplied(worker_name_, applied_seq_, stored_slices_, slices_freed);
 }

@@ -164,8 +164,12 @@ struct WindowAggSpec {
 ///    one cut grid; each key holds only its (slice start, partial) list,
 ///    the registry queries it serves from a late start, and its standalone
 ///    open windows. A timer heap keyed by each key's next window end lets
-///    a watermark visit only keys with a window to fire; registry commands
-///    edit the table and never rewrite key state.
+///    a watermark visit only keys with a window to fire; a fire combines
+///    the slices of the key's oldest due window once, right to left, and
+///    serves every due window from that pass. Registry commands edit the
+///    table and never rewrite key state; a key holding what only detached
+///    queries needed frees it at its next fire, or, with no window
+///    pending, at the next watermark.
 ///  * Per-key path -- shared backend with a session, count, punctuation or
 ///    user-defined window: a SlicingAggregator per key, advanced on every
 ///    watermark.
@@ -313,20 +317,32 @@ class WindowAggOperator : public Operator {
                                bool fresh_backfill) const;
   /// End of the key's next window to fire (kMaxTimestamp: none).
   Timestamp NextFire(const KeyEntry& e) const;
-  /// Earliest slice start a window of the key may still need at time `t`
-  /// (queries other than `skip_slot`); older stored slices are garbage.
-  Timestamp Needed(const KeyEntry& e, Timestamp t, size_t skip_slot) const;
+  /// Earliest slice start a window of the key may still need at time `t`;
+  /// older stored slices are garbage.
+  Timestamp Needed(const KeyEntry& e, Timestamp t) const;
+  /// Number of the key's stored slices older than Needed(t).
+  size_t Evictable(const KeyEntry& e, Timestamp t) const;
+  /// Whether the key holds state only detached queries needed: stored
+  /// slices evictable at `t` (their count goes to `*slices`), standalone
+  /// windows or late starts of inactive slots.
+  bool HasLeftovers(const KeyEntry& e, Timestamp t, uint64_t* slices) const;
   /// Takes over the key's backfill entries and late starts of queries
   /// attached since its epoch; appends the slots of taken-over backfills.
   void CatchUp(KeyEntry* e, std::vector<uint32_t>* fresh_slots);
-  /// Fires every window of the key ending at or before `t`, then evicts.
-  /// Returns whether anything fired.
-  bool FireKey(KeyEntry* e, Timestamp t);
+  /// Fires every window of the key ending at or before `t`, then evicts
+  /// what no pending window needs.
+  void FireKey(KeyEntry* e, Timestamp t);
   void PruneLate(KeyState* ks) const;
   void Arm(uint32_t kid, KeyEntry* e);
+  /// Times the key for the next watermark.
+  void ArmSweep(uint32_t kid, KeyEntry* e);
+  /// Arms a sweep at the current watermark for every key with leftovers
+  /// and no pending window; returns the stored slices all keys with
+  /// leftovers will release.
+  uint64_t ArmLeftoverSweeps();
   void FireDueKeys(Timestamp wm);
   void AttachGridQuery(const QueryCommand& cmd);
-  uint64_t DetachGridQuery(uint64_t query_id);
+  void DetachGridQuery(uint64_t query_id);
   /// Recomputes derived state (timers, slice count, caches) after restore.
   void RebuildDerived();
   void RefreshQueryIndex();
@@ -398,9 +414,11 @@ class WindowAggOperator : public Operator {
     Timestamp end;
     uint32_t slot;
     Timestamp start;
-    size_t standalone_index;  // SIZE_MAX for shared windows
+    bool standalone;
+    size_t index;  // position in the key's standalone or slice list
   };
   std::vector<DueWindow> due_;
+  std::vector<DynPartial> suffix_;
   std::vector<uint32_t> fresh_slots_;
   std::vector<uint32_t> due_keys_;
 

@@ -12,13 +12,19 @@ flag, and pair up by their path relative to
 the directory (parent/03/x.json with change/03/x.json); unmatched runs still
 count toward medians.
 
-For every group and every metric BENCHMARK.json names, the table shows
-the median and quartiles of each side, the change/parent median ratio and
-how many pairs the change won. A row is `unresolved` when either side's
-interquartile range exceeds the metric's bound (as a fraction of its
-median); otherwise it is `better` or `worse` when the medians differ by
-more than the parent's interquartile range, else `same`. BENCHMARK.json is
-read, never written.
+For every group and every end-to-end metric BENCHMARK.json names, the
+table shows the median and quartiles of each side, the change/parent
+median ratio and how many pairs the change won. The verdict reads the
+metric's bound from BENCHMARK.json (never written):
+  unresolved  either side's interquartile range exceeds the bound (as a
+              fraction of its median), unless every change run beats
+              every parent run;
+  regressed   the change's median is worse than the parent's by more
+              than the bound;
+  improved    the change won at least nine tenths of the pairs and its
+              median is better by more than the parent's interquartile
+              range;
+  held        otherwise (within the bound, no claimable gain).
 """
 
 import argparse
@@ -58,16 +64,28 @@ def quartiles(values):
     return q[0], statistics.median(v), q[2]
 
 
-def metric_specs(spec):
-    """[(name, better, bound or None)] for end-to-end then per-layer."""
-    rows = [(m["name"], m["better"], m.get("bound"))
-            for m in spec.get("end_to_end", [])]
-    rows += [(m["name"], m["better"], None) for m in spec.get("per_layer", [])]
-    return rows
+def verdict(parent, change, better, bound, wins, pairs):
+    """The row verdict; `parent`/`change` are the runs' values."""
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    sign = 1 if better == "higher" else -1
+    spread = max((p3 - p1) / abs(pm) if pm else 0.0,
+                 (c3 - c1) / abs(cm) if cm else 0.0)
+    if better == "higher":
+        all_better = min(change) > max(parent)
+    else:
+        all_better = max(change) < min(parent)
+    if spread > bound and not all_better:
+        return "unresolved"
+    if sign * (cm - pm) < -bound * abs(pm):
+        return "regressed"
+    if pairs and wins * 10 >= pairs * 9 and sign * (cm - pm) > p3 - p1:
+        return "improved"
+    return "held"
 
 
 def compare(parent, change, spec):
-    """Rows of the comparison, one per (workload, trace, metric) present."""
+    """Rows of the comparison, one per (workload, seed, trace, metric)."""
     groups = {}
     for side, reports in (("parent", parent), ("change", change)):
         for rel, r in reports.items():
@@ -77,7 +95,8 @@ def compare(parent, change, spec):
             groups[key][side][rel] = r
     rows = []
     for (workload, seed, trace), sides in sorted(groups.items()):
-        for name, better, bound in metric_specs(spec):
+        for m in spec["end_to_end"]:
+            name, better, bound = m["name"], m["better"], m["bound"]
             vals = {}
             for side in ("parent", "change"):
                 vals[side] = {rel: r["all_metrics"][name]["value"]
@@ -92,24 +111,18 @@ def compare(parent, change, spec):
             wins = sum(1 for rel in pairs
                        if sign * (vals["change"][rel] - vals["parent"][rel])
                        > 0)
-            spread = max((p3 - p1) / abs(pm) if pm else 0.0,
-                         (c3 - c1) / abs(cm) if cm else 0.0)
-            if bound is not None and spread > bound:
-                verdict = "unresolved"
-            elif abs(cm - pm) > (p3 - p1):
-                verdict = "better" if sign * (cm - pm) > 0 else "worse"
-            else:
-                verdict = "same"
             rows.append({
                 "workload": workload, "seed": seed, "trace": trace,
-                "metric": name,
-                "better": better, "bound": bound,
+                "metric": name, "bound": bound,
                 "parent": {"n": len(vals["parent"]), "median": pm,
                            "q1": p1, "q3": p3},
                 "change": {"n": len(vals["change"]), "median": cm,
                            "q1": c1, "q3": c3},
                 "ratio": cm / pm if pm else None,
-                "pairs": len(pairs), "wins": wins, "verdict": verdict,
+                "pairs": len(pairs), "wins": wins,
+                "verdict": verdict(list(vals["parent"].values()),
+                                   list(vals["change"].values()), better,
+                                   bound, wins, len(pairs)),
             })
     return rows
 
@@ -138,15 +151,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", help="directory of parent-run reports")
     ap.add_argument("change", help="directory of change-run reports")
-    ap.add_argument("--spec", default=os.path.join(ROOT, "BENCHMARK.json"))
-    ap.add_argument("--all", action="store_true",
-                    help="also print per-layer metrics")
-    ap.add_argument("--json", help="write the comparison rows here")
     ap.add_argument("--trajectory",
                     help="write a trajectory file (medians, IQRs, host)")
     ap.add_argument("--label", default="", help="trajectory description")
     args = ap.parse_args()
-    with open(args.spec) as f:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     parent = load_reports(args.parent)
     change = load_reports(args.change)
@@ -154,34 +163,21 @@ def main():
         sys.exit("bench_diff: no perfbench reports under %s" %
                  (args.parent if not parent else args.change))
     rows = compare(parent, change, spec)
-    e2e = {m["name"] for m in spec.get("end_to_end", [])}
-    print("%-22s %-24s %12s %22s %12s %22s %7s %6s  %s" % (
+    print("%-22s %-16s %12s %22s %12s %22s %7s %6s  %s" % (
         "workload", "metric", "parent", "[q1, q3]", "change", "[q1, q3]",
         "ratio", "wins", "verdict"))
     for r in rows:
-        if not args.all and r["metric"] not in e2e:
-            continue
         p, c = r["parent"], r["change"]
-        print("%-22s %-24s %12s %22s %12s %22s %7s %6s  %s" % (
+        print("%-22s %-16s %12s %22s %12s %22s %7s %6s  %s" % (
             "%s/s%d%s" % (r["workload"], r["seed"],
                           "/t1" if r["trace"] else ""), r["metric"],
             fmt(p["median"]), "[%s, %s]" % (fmt(p["q1"]), fmt(p["q3"])),
             fmt(c["median"]), "[%s, %s]" % (fmt(c["q1"]), fmt(c["q3"])),
             fmt(r["ratio"]), "%d/%d" % (r["wins"], r["pairs"]),
             r["verdict"]))
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(rows, f, indent=1, sort_keys=True)
     if args.trajectory:
-        traj = {
-            "label": args.label,
-            "host": fingerprint(change),
-            "metrics": [{k: r[k] for k in ("workload", "seed", "trace",
-                                           "metric",
-                                           "parent", "change", "ratio",
-                                           "wins", "pairs", "verdict")}
-                        for r in rows if r["metric"] in e2e],
-        }
+        traj = {"label": args.label, "host": fingerprint(change),
+                "metrics": rows}
         with open(args.trajectory, "w") as f:
             json.dump(traj, f, indent=1, sort_keys=True)
             f.write("\n")
